@@ -47,19 +47,20 @@ void CodeBitPlanes::covered_by(const Cube& cube, std::uint64_t* out) const {
   }
 }
 
-bool CodeBitPlanes::covers_all(const Cube& cube) const {
-  std::vector<std::uint64_t> covered(words_);
-  covered_by(cube, covered.data());
-  for (std::size_t w = 0; w < words_; ++w)
-    if (covered[w] != full_[w]) return false;
-  return true;
-}
-
-bool CodeBitPlanes::covers_any(const Cube& cube) const {
-  std::vector<std::uint64_t> covered(words_);
-  covered_by(cube, covered.data());
-  for (std::size_t w = 0; w < words_; ++w)
-    if (covered[w]) return true;
+bool CodeBitPlanes::intersects(const Cube& cube) const {
+  const std::uint64_t lo = cube.lo();
+  const std::uint64_t hi = cube.hi();
+  const std::uint64_t bound = Cube::input_mask(num_inputs_) & ~(lo & hi);
+  if (bound & ~(lo | hi)) return false;  // empty literal: the cube covers nothing
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t hit = full_[w];
+    for (std::uint64_t rest = bound; rest && hit; rest &= rest - 1) {
+      const int v = std::countr_zero(rest);
+      const std::uint64_t plane = planes_[static_cast<std::size_t>(v) * words_ + w];
+      hit &= ((hi >> v) & 1ULL) ? plane : ~plane;
+    }
+    if (hit) return true;
+  }
   return false;
 }
 

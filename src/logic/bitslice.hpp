@@ -36,11 +36,12 @@ class CodeBitPlanes {
   /// literal (admits neither value) covers nothing.
   void covered_by(const Cube& cube, std::uint64_t* out) const;
 
-  /// True if `cube`'s input part covers every code.
-  bool covers_all(const Cube& cube) const;
-
-  /// True if `cube`'s input part covers at least one code.
-  bool covers_any(const Cube& cube) const;
+  /// True if `cube`'s input part covers at least one code.  Evaluated word
+  /// by word, stopping at the first hit; allocates nothing.  Same answer as
+  /// probing every code with Cube::covers_minterm (an empty literal covers
+  /// nothing), so !intersects(cube) over an output's off-set planes is
+  /// TwoLevelSpec::cube_valid_for_output.
+  bool intersects(const Cube& cube) const;
 
  private:
   std::size_t num_codes_ = 0;

@@ -22,6 +22,11 @@ Cube Cube::minterm(std::uint64_t code, int num_inputs, std::uint64_t outputs) {
   return Cube(~code & mask, code & mask, outputs, num_inputs);
 }
 
+Cube Cube::from_bits(std::uint64_t lo, std::uint64_t hi, int num_inputs, std::uint64_t outputs) {
+  const std::uint64_t mask = input_mask(num_inputs);
+  return Cube(lo & mask, hi & mask, outputs, num_inputs);
+}
+
 bool Cube::covers_minterm(std::uint64_t code) const {
   const std::uint64_t mask = input_mask(num_inputs_);
   return (((code & hi_) | (~code & lo_)) & mask) == mask;

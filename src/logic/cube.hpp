@@ -5,7 +5,7 @@
 // 0) and `hi` (the literal admits value 1).  A variable with both bits set
 // is absent from the product term (don't care); a variable with exactly one
 // bit set contributes one literal; a variable with neither bit set makes the
-// cube empty (we never construct such cubes through the public API).
+// cube empty (only Cube::from_bits can build one; the minimizers never do).
 //
 // The output part is a bit mask: bit `o` set means the product term feeds
 // output function `o`.  Single-output logic simply uses output mask 1.
@@ -26,6 +26,12 @@ class Cube {
   /// The cube containing exactly the minterm `code` (bit i = value of
   /// variable i), feeding `outputs`.
   static Cube minterm(std::uint64_t code, int num_inputs, std::uint64_t outputs = 1);
+
+  /// The cube with the given raw positional bits (masked to the inputs).
+  /// Unlike the other constructors this can describe an empty literal
+  /// (neither bit set), which covers no minterm.
+  static Cube from_bits(std::uint64_t lo, std::uint64_t hi, int num_inputs,
+                        std::uint64_t outputs = 1);
 
   /// Bit mask with one bit per input variable.
   static std::uint64_t input_mask(int num_inputs);

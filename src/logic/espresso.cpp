@@ -1,9 +1,12 @@
 #include "logic/espresso.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "logic/bitslice.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
@@ -61,76 +64,116 @@ CoverCost cost_of(const Cover& cover) {
   return CoverCost{cover.size(), cover.literal_count()};
 }
 
-void espresso_expand(Cover& cover, const TwoLevelSpec& spec, bool share_outputs) {
+namespace {
+
+/// One off-set plane set per output: !off[o].intersects(cube) is
+/// spec.cube_valid_for_output(cube, o), in O(bound literals x words) word
+/// ops instead of one probe per off-minterm.  Built once per espresso()
+/// call and shared by every EXPAND pass.
+using OffPlanes = std::vector<CodeBitPlanes>;
+
+OffPlanes build_off_planes(const TwoLevelSpec& spec) {
+  OffPlanes planes;
+  planes.reserve(static_cast<std::size_t>(spec.num_outputs()));
+  for (int o = 0; o < spec.num_outputs(); ++o) planes.emplace_back(spec.off(o), spec.num_inputs());
+  return planes;
+}
+
+/// spec.cube_is_valid(cube) on the off-set planes.
+bool valid_on_planes(const OffPlanes& off, const Cube& cube) {
+  for (std::uint64_t outs = cube.outputs(); outs; outs &= outs - 1)
+    if (off[static_cast<std::size_t>(std::countr_zero(outs))].intersects(cube)) return false;
+  return true;
+}
+
+/// Greedy literal raising of `cube`: at each step raise the valid direction
+/// that absorbs the most of the first kGainScanCap `pending` cubes, the
+/// lowest variable on ties.
+///
+/// All directions are scored in one pass: `cube` with v raised contains a
+/// pending cube c iff c's outputs are a subset of cube's and c's input
+/// excess over cube, (c.lo & ~cube.lo) | (c.hi & ~cube.hi), is empty or
+/// exactly {v}.  A direction that is invalid stays invalid for the rest of
+/// this cube (a larger cube covers every off-minterm a smaller one does),
+/// so it is never re-checked; and a direction is only checked when its
+/// gain could beat the best valid one so far.  Neither shortcut changes
+/// which variable is chosen.
+void raise_literals(Cube& cube, const std::vector<Cube>& pending, const OffPlanes& off,
+                    int num_inputs) {
+  const std::size_t scan = std::min(pending.size(), kGainScanCap);
+  const std::uint64_t inputs = Cube::input_mask(num_inputs);
+  std::uint64_t invalid = 0;
+  std::array<long, 64> gain{};
+  for (;;) {
+    const std::uint64_t open = inputs & ~(cube.lo() & cube.hi()) & ~invalid;
+    if (!open) return;
+    long base = 0;
+    gain.fill(0);
+    for (std::size_t i = 0; i < scan; ++i) {
+      const Cube& c = pending[i];
+      if (c.outputs() & ~cube.outputs()) continue;
+      const std::uint64_t excess = (c.lo() & ~cube.lo()) | (c.hi() & ~cube.hi());
+      if (excess == 0)
+        ++base;
+      else if ((excess & (excess - 1)) == 0)
+        ++gain[static_cast<std::size_t>(std::countr_zero(excess))];
+    }
+    int best_var = -1;
+    long best_gain = -1;
+    for (std::uint64_t rest = open; rest; rest &= rest - 1) {
+      const int v = std::countr_zero(rest);
+      const long g = base + gain[static_cast<std::size_t>(v)];
+      if (g <= best_gain) continue;
+      Cube candidate = cube;
+      candidate.raise_var(v);
+      if (!valid_on_planes(off, candidate)) {
+        invalid |= 1ULL << v;
+        continue;
+      }
+      best_gain = g;
+      best_var = v;
+    }
+    if (best_var < 0) return;
+    cube.raise_var(best_var);
+  }
+}
+
+/// EXPAND on prebuilt off-set planes (see espresso_expand).
+void expand_on_planes(Cover& cover, const TwoLevelSpec& spec, const OffPlanes& off,
+                      bool share_outputs) {
   const std::size_t n = cover.size();
   obs::count(obs::Counter::kCubesExpanded, static_cast<long>(n));
-  std::vector<bool> done(n, false);  // already expanded or absorbed
+
+  // Expand narrow cubes first: they are the least likely to be absorbed.
+  // `pending` holds the cubes not yet expanded or absorbed, in that order;
+  // its head is the next cube to expand.
+  std::vector<Cube> pending(cover.begin(), cover.end());
+  std::stable_sort(pending.begin(), pending.end(), [](const Cube& a, const Cube& b) {
+    return a.literal_count() > b.literal_count();
+  });
   std::vector<Cube> result;
   result.reserve(n);
 
-  // Expand narrow cubes first: they are the least likely to be absorbed.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return cover[a].literal_count() > cover[b].literal_count();
-  });
-
-  for (const std::size_t idx : order) {
-    if (done[idx]) continue;
-    done[idx] = true;
-    Cube cube = cover[idx];
-
-    // Greedy literal raising: at each step raise the valid direction that
-    // absorbs the most still-pending cubes.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      int best_var = -1;
-      long best_gain = -1;
-      for (int v = 0; v < spec.num_inputs(); ++v) {
-        if (cube.var_is_free(v)) continue;
-        Cube candidate = cube;
-        candidate.raise_var(v);
-        if (!spec.cube_is_valid(candidate)) continue;
-        long gain = 0;
-        std::size_t scanned = 0;
-        for (const std::size_t j : order) {
-          if (done[j]) continue;
-          if (candidate.contains(cover[j])) ++gain;
-          if (++scanned >= kGainScanCap) break;
-        }
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_var = v;
-        }
-      }
-      if (best_var >= 0) {
-        cube.raise_var(best_var);
-        progress = true;
-      }
-    }
+  while (!pending.empty()) {
+    Cube cube = pending.front();
+    pending.erase(pending.begin());
+    raise_literals(cube, pending, off, spec.num_inputs());
 
     // Output raising: let this AND gate feed further outputs when valid and
     // useful (covers at least one on-minterm of that output).
     if (share_outputs) {
       for (int o = 0; o < spec.num_outputs(); ++o) {
         if (cube.has_output(o)) continue;
-        if (!spec.cube_valid_for_output(cube, o)) continue;
-        bool useful = false;
-        for (const std::uint64_t code : spec.on(o)) {
-          if (cube.covers_minterm(code)) {
-            useful = true;
-            break;
-          }
-        }
-        if (useful) cube.add_output(o);
+        if (off[static_cast<std::size_t>(o)].intersects(cube)) continue;
+        const auto& on = spec.on(o);
+        if (std::any_of(on.begin(), on.end(),
+                        [&](std::uint64_t code) { return cube.covers_minterm(code); }))
+          cube.add_output(o);
       }
     }
 
     // Absorb pending cubes now contained in the expanded cube.
-    for (const std::size_t j : order)
-      if (!done[j] && cube.contains(cover[j])) done[j] = true;
-
+    std::erase_if(pending, [&](const Cube& c) { return cube.contains(c); });
     result.push_back(cube);
   }
 
@@ -138,6 +181,12 @@ void espresso_expand(Cover& cover, const TwoLevelSpec& spec, bool share_outputs)
   for (const Cube& c : result) expanded.add(c);
   expanded.remove_contained();
   cover = std::move(expanded);
+}
+
+}  // namespace
+
+void espresso_expand(Cover& cover, const TwoLevelSpec& spec, bool share_outputs) {
+  expand_on_planes(cover, spec, build_off_planes(spec), share_outputs);
 }
 
 void espresso_irredundant(Cover& cover, const TwoLevelSpec& spec) {
@@ -245,14 +294,15 @@ Cover espresso(const TwoLevelSpec& spec, const EspressoOptions& options) {
   Cover cover = initial_cover(normalized, options.share_outputs);
   if (cover.empty()) return cover;
 
-  espresso_expand(cover, normalized, options.share_outputs);
+  const OffPlanes off = build_off_planes(normalized);
+  expand_on_planes(cover, normalized, off, options.share_outputs);
   espresso_irredundant(cover, normalized);
   Cover best = cover;
   CoverCost best_cost = cost_of(best);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     espresso_reduce(cover, normalized);
-    espresso_expand(cover, normalized, options.share_outputs);
+    expand_on_planes(cover, normalized, off, options.share_outputs);
     espresso_irredundant(cover, normalized);
     const CoverCost cost = cost_of(cover);
     if (!(cost < best_cost)) break;

@@ -10,8 +10,11 @@
 // yields AND-gate sharing across set/reset functions of different signals).
 //
 // The on-set and off-set are explicit minterm lists (reachable states of
-// the state graph); everything else is an implicit don't care, so validity
-// of a cube is checked by scanning the off-list of each output it feeds.
+// the state graph); everything else is an implicit don't care, so a cube is
+// valid iff it covers no off-minterm of any output it feeds.  EXPAND checks
+// that on bit-sliced off-set planes (logic/bitslice) built once per
+// espresso() call; TwoLevelSpec::cube_valid_for_output, the linear scan of
+// an output's off-list, stays the reference predicate.
 #pragma once
 
 #include "logic/cover.hpp"

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "exec/cancel.hpp"
 #include "exec/thread_pool.hpp"
@@ -31,9 +32,55 @@ struct CubeKeyHash {
   }
 };
 
+/// Open-addressing hash set of CubeKeys for the hot path.  The keys live
+/// in one vector in insertion order and the table holds 32-bit indices
+/// into it, so the whole set is two allocations: dropping a set of
+/// hundreds of thousands of keys (as a deadline unwinds out of prime
+/// generation) frees two blocks instead of one node per key.
+class FlatKeySet {
+ public:
+  /// Insert `key`; `.second` is false when it was already present (the
+  /// std::set / std::unordered_set convention expand_all relies on).
+  std::pair<std::size_t, bool> insert(const CubeKey& key) {
+    if ((keys_.size() + 1) * 2 > slots_.size()) grow();
+    std::uint32_t& slot = slots_[find_slot(key)];
+    if (slot != 0) return {slot - 1, false};
+    keys_.push_back(key);
+    slot = static_cast<std::uint32_t>(keys_.size());
+    return {keys_.size() - 1, true};
+  }
+
+  bool contains(const CubeKey& key) const {
+    return !slots_.empty() && slots_[find_slot(key)] != 0;
+  }
+
+  std::size_t size() const { return keys_.size(); }
+  auto begin() const { return keys_.begin(); }
+  auto end() const { return keys_.end(); }
+
+ private:
+  /// Index of the slot holding `key`, or of the empty slot where it would
+  /// go (linear probing; the table is at most half full).
+  std::size_t find_slot(const CubeKey& key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = CubeKeyHash{}(key) & mask;
+    while (slots_[i] != 0 && keys_[slots_[i] - 1] != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    slots_.assign(std::max<std::size_t>(64, slots_.size() * 2), 0);
+    for (std::size_t k = 0; k < keys_.size(); ++k)
+      slots_[find_slot(keys_[k])] = static_cast<std::uint32_t>(k + 1);
+  }
+
+  std::vector<CubeKey> keys_;
+  std::vector<std::uint32_t> slots_;  // 0 = empty, else index + 1 into keys_
+};
+
 /// Recursively enumerate all maximal valid expansions of `cube`.
 /// Returns false if the prime cap was exceeded.  Generic over the key-set
-/// type: the hot path uses hashed sets, the reference path ordered sets;
+/// type: the hot path uses FlatKeySet, the reference path ordered sets;
 /// only membership and size are consulted, so the enumeration is
 /// container-independent.
 ///
@@ -46,6 +93,7 @@ struct CubeKeyHash {
 template <typename KeySet, bool kPrecheckVisited>
 bool expand_all(const Cube& cube, const TwoLevelSpec& spec, int o, KeySet& visited,
                 KeySet& primes, std::size_t max_primes) {
+  exec::checkpoint();  // per expansion: one seed's recursion can run for tens of ms
   const CubeKey key{cube.lo(), cube.hi()};
   if (!visited.insert(key).second) return true;
   bool maximal = true;
@@ -212,14 +260,13 @@ std::optional<std::vector<CubeKey>> enumerate_prime_keys(const TwoLevelSpec& spe
 
 std::optional<std::vector<Cube>> generate_primes(const TwoLevelSpec& spec, int o,
                                                  const ExactOptions& options) {
-  // Hashed sets on the bit-packed keys are the hot path; an explicit sort
+  // A flat hash set on the bit-packed keys is the hot path; an explicit sort
   // afterwards reproduces the (lo, hi) iteration order the ordered
   // reference sets give for free, so both paths emit identical primes.
   std::optional<std::vector<CubeKey>> keys =
       options.reference_kernels
           ? enumerate_prime_keys<std::set<CubeKey>, false>(spec, o, options.max_primes)
-          : enumerate_prime_keys<std::unordered_set<CubeKey, CubeKeyHash>, true>(
-                spec, o, options.max_primes);
+          : enumerate_prime_keys<FlatKeySet, true>(spec, o, options.max_primes);
   if (!keys) return std::nullopt;
   if (!options.reference_kernels) std::sort(keys->begin(), keys->end());
 

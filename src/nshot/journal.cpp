@@ -2,7 +2,9 @@
 
 #include <fstream>
 
+#include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/json_value.hpp"
 
 namespace nshot {
 
@@ -23,15 +25,24 @@ std::string journal_line(const BatchRunResult& result) {
   return json.str();
 }
 
-std::string journal_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return "";
-  return line.substr(begin, end - begin);
+namespace {
+
+/// The journal object on `line`, or null for a torn or malformed line.
+JsonValue parse_line(const std::string& line) {
+  try {
+    return parse_json(line, "journal line");
+  } catch (const Error&) {
+    return {};
+  }
 }
+
+/// String member `key` of a journal object; "" when absent or not a string.
+std::string string_member(const JsonValue& object, const std::string& key) {
+  const JsonValue* member = object.find(key);
+  return member && member->is_string() ? member->as_string() : std::string();
+}
+
+}  // namespace
 
 std::map<std::string, std::string> read_journal(const std::string& path) {
   std::map<std::string, std::string> journaled;
@@ -39,22 +50,23 @@ std::map<std::string, std::string> read_journal(const std::string& path) {
   std::ifstream journal(path);
   std::string line;
   while (journal && std::getline(journal, line)) {
-    if (line.empty() || line.back() != '}') continue;  // truncated tail
-    const std::string id = journal_field(line, "id");
-    if (!id.empty() && !journal_field(line, "status").empty()) journaled[id] = line;
+    const JsonValue record = parse_line(line);
+    std::string id = string_member(record, "id");
+    if (!id.empty() && !string_member(record, "status").empty()) journaled[std::move(id)] = line;
   }
   return journaled;
 }
 
 BatchRunResult journal_result(const std::string& id, const std::string& line) {
+  const JsonValue record = parse_line(line);
   BatchRunResult result;
   result.id = id;
   result.resumed = true;
-  result.ok = journal_field(line, "status") == "ok";
+  result.ok = string_member(record, "status") == "ok";
   if (!result.ok) {
-    result.code = error_code_from_name(journal_field(line, "code"));
-    result.stage = journal_field(line, "stage");
-    result.message = journal_field(line, "message");
+    result.code = error_code_from_name(string_member(record, "code"));
+    result.stage = string_member(record, "stage");
+    result.message = string_member(record, "message");
   }
   return result;
 }

@@ -1,12 +1,12 @@
 // Minimal JSON document parser — the read-side counterpart of JsonWriter.
 //
 // The serve wire protocol (schemas/request.schema.json) and the batch
-// journal are newline-delimited JSON; until now the repository only ever
-// WROTE JSON (JsonWriter) and read its own output back with string scans
-// (BatchRunner::journal_field).  A server that accepts requests from
-// arbitrary clients needs a real parser: this one is dependency-free,
-// recursive-descent over RFC 8259, with a depth cap and a size cap so a
-// hostile request line cannot recurse or allocate without bound.
+// journal are newline-delimited JSON, and both are read back with this
+// parser, so escaped strings round-trip byte-exact.  A server that accepts
+// requests from arbitrary clients needs a real parser: this one is
+// dependency-free, recursive-descent over RFC 8259, with a depth cap and a
+// size cap so a hostile request line cannot recurse or allocate without
+// bound.
 //
 // Values are held in an immutable tree of JsonValue nodes.  Accessors are
 // checked: as_string() on a number throws Error(kInputInvalid) naming the

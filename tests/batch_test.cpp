@@ -1,18 +1,22 @@
 // BatchRunner tests: manifest parsing (including the classified rejection
 // of malformed lines), the crash-safe JSONL journal (resume, truncated
-// trailing lines), bounded transient retry, stop_after crash simulation,
-// and the summary's failure-class accounting.
+// trailing lines, byte-exact round trip of escaped ids and messages),
+// bounded transient retry, stop_after crash simulation, and the summary's
+// failure-class accounting.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "nshot/batch.hpp"
+#include "nshot/journal.hpp"
 #include "sim/conformance.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace nshot {
 namespace {
@@ -237,6 +241,91 @@ TEST(BatchJournalTest, ResumedFailuresKeepTheirRecordedClassification) {
   EXPECT_FALSE(summary.runs[0].ok);
   EXPECT_EQ(summary.runs[0].code, ErrorCode::kUnimplementable);
   EXPECT_EQ(summary.failures_by_code.at("unimplementable"), 1);
+}
+
+/// A random string over the characters a journal must escape: quotes,
+/// backslashes, every control character (NUL included), DEL, and one- to
+/// four-byte UTF-8 sequences.
+std::string random_journal_text(Rng& rng) {
+  static const char* const kPieces[] = {"a", "Z", "7", " ", "\"", "\\", "/", "{", "}", ":",
+                                        ",", "\x7f", "\xc3\xa9", "\xe2\x82\xac",
+                                        "\xf0\x9d\x84\x9e", "\\u0041", "\\\""};
+  std::string text;
+  const std::uint64_t length = 1 + rng.next_below(24);
+  for (std::uint64_t i = 0; i < length; ++i) {
+    if (rng.next_bool(0.25))
+      text.push_back(static_cast<char>(rng.next_below(0x20)));  // control character
+    else
+      text += kPieces[rng.next_below(std::size(kPieces))];
+  }
+  return text;
+}
+
+TEST(BatchJournalTest, IdsAndMessagesRoundTripByteExactThroughResume) {
+  ScratchFile journal("batch_test_roundtrip.jsonl");
+  Rng rng(0x10a5ULL);
+  std::vector<BatchRunResult> written;
+  std::string text;
+  for (int i = 0; i < 200; ++i) {
+    BatchRunResult result;
+    result.id = random_journal_text(rng) + "#" + std::to_string(i);  // distinct ids
+    result.ok = rng.next_bool(0.3);
+    if (!result.ok) {
+      result.code = ErrorCode::kDeadlineExceeded;
+      result.stage = random_journal_text(rng);
+      result.message = random_journal_text(rng);
+    }
+    result.attempts = 1;
+    const std::string line = journal_line(result);
+    ASSERT_EQ(line.find('\n'), std::string::npos);
+    text += line + "\n";
+    written.push_back(result);
+  }
+  text += "{\"id\":\"torn\",\"status\":\"ok\",\"atte";  // a crash mid-write
+  journal.write(text);
+
+  const std::map<std::string, std::string> journaled = read_journal(journal.path);
+  ASSERT_EQ(journaled.size(), written.size());
+  for (const BatchRunResult& expected : written) {
+    const auto it = journaled.find(expected.id);
+    ASSERT_NE(it, journaled.end()) << expected.id;
+    const BatchRunResult resumed = journal_result(it->first, it->second);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.id, expected.id);
+    EXPECT_EQ(resumed.ok, expected.ok);
+    if (!expected.ok) {
+      EXPECT_EQ(resumed.code, expected.code);
+      EXPECT_EQ(resumed.stage, expected.stage);
+      EXPECT_EQ(resumed.message, expected.message);
+    }
+  }
+}
+
+TEST(BatchJournalTest, QuotedIdComesBackUnescaped) {
+  ScratchFile journal("batch_test_quoted.jsonl");
+  BatchRunResult result;
+  result.id = "job \"7\"";
+  result.ok = true;
+  journal.write(journal_line(result) + "\n");
+  const std::map<std::string, std::string> journaled = read_journal(journal.path);
+  ASSERT_EQ(journaled.size(), 1u);
+  EXPECT_EQ(journaled.begin()->first, "job \"7\"");
+}
+
+TEST(BatchJournalTest, MalformedLinesAreSkippedNotThrown) {
+  ScratchFile journal("batch_test_malformed.jsonl");
+  journal.write(
+      "not json at all\n"
+      "[\"an\", \"array\"]\n"
+      "{\"id\":7,\"status\":\"ok\"}\n"
+      "{\"id\":\"no-status\"}\n"
+      "{\"id\":\"dup\",\"id\":\"dup\",\"status\":\"ok\"}\n"
+      "{\"id\":\"bad\\escape\",\"status\":\"ok\"}\n"
+      "{\"id\":\"good\",\"status\":\"ok\",\"attempts\":1}\n");
+  std::map<std::string, std::string> journaled;
+  ASSERT_NO_THROW(journaled = read_journal(journal.path));
+  ASSERT_EQ(journaled.size(), 1u);
+  EXPECT_EQ(journaled.begin()->first, "good");
 }
 
 // ---------------------------------------------------------------------------

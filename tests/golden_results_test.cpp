@@ -5,6 +5,8 @@
 // (and re-check EXPERIMENTS.md) if an algorithm improvement moves them.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bench_suite/benchmarks.hpp"
 #include "nshot/synthesis.hpp"
 
@@ -47,6 +49,10 @@ constexpr Golden kGolden[] = {
     {"sing2dual-inp", 56, 6, 10, 368, 4.8},
     {"sing2dual-out", 196, 8, 16, 496, 4.8},
 };
+
+// Print the circuit name, not the struct's bytes (which hold a pointer),
+// so the listed test names are the same in every build.
+void PrintTo(const Golden& golden, std::ostream* out) { *out << golden.name; }
 
 class GoldenResultsTest : public ::testing::TestWithParam<Golden> {};
 

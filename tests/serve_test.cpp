@@ -220,7 +220,7 @@ TEST(ServerTest, FairShareKeepsTheTrickleClientResponsive) {
   std::ifstream journal(options.journal_path);
   std::string line;
   while (std::getline(journal, line)) {
-    const std::string id = journal_field(line, "id");
+    const std::string id = parse_json(line, "journal line").at("id").as_string();
     if (id != "plug") order.push_back(id);
   }
   ASSERT_EQ(order.size(), 14u);
