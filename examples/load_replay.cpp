@@ -15,7 +15,10 @@
 //   load_replay [--clients N] [--repeats R] [--out FILE] [--socket PATH]
 //               [--smoke]
 //
-// Exits non-zero on any payload mismatch or internal-class failure.
+// Exits non-zero on any payload mismatch, internal-class failure, or a warm
+// pass the memo did not answer in full (one hit per warm request, no
+// misses): the warm_over_cold timing ratio alone cannot tell a broken memo
+// from a fast minimizer.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -254,6 +257,14 @@ int main(int argc, char** argv) {
     check(cold_samples);
     check(warm_samples);
     const bool byte_identical = mismatches == 0;
+    // Every warm request repeats a spec the cold pass already minimized.
+    const bool memo_answered_warm =
+        warm.memo_misses == 0 && warm.memo_hits == static_cast<long>(warm.requests);
+    if (!memo_answered_warm)
+      std::fprintf(stderr,
+                   "error: warm pass memo_hits %ld / memo_misses %ld over %d requests "
+                   "(expected one hit per request)\n",
+                   warm.memo_hits, warm.memo_misses, warm.requests);
     const double warm_over_cold =
         warm.server_ms_mean > 0 ? cold.server_ms_mean / warm.server_ms_mean : 0.0;
 
@@ -283,7 +294,7 @@ int main(int argc, char** argv) {
                  cold_samples.size() + warm_samples.size(), cli.clients, cold.server_ms_mean,
                  warm.server_ms_mean, warm_over_cold, mismatches, internal_failures,
                  cli.out.c_str());
-    return byte_identical && internal_failures == 0 ? 0 : 1;
+    return byte_identical && internal_failures == 0 && memo_answered_warm ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

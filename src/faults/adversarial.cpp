@@ -1,7 +1,9 @@
 #include "faults/adversarial.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
+#include <unordered_map>
 
 #include "exec/cancel.hpp"
 #include "exec/thread_pool.hpp"
@@ -115,6 +117,20 @@ struct RestartOutcome {
   sim::ConformanceReport report;
   bool violation_found = false;
   long evaluations = 0;
+  long memo_hits = 0;  // proposals scored from the memo, not simulated
+};
+
+/// A restart's memo key: the bit patterns of the movable gates' delays
+/// (the only entries a proposal ever changes).  Bit patterns keep equality
+/// and hashing consistent; equal bits mean an identical delay vector.
+using PointKey = std::vector<std::uint64_t>;
+
+struct PointKeyHash {
+  std::size_t operator()(const PointKey& key) const {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const std::uint64_t word : key) hash = (hash ^ word) * 0x100000001b3ULL;
+    return static_cast<std::size_t>(hash ^ (hash >> 32));
+  }
 };
 
 RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist& circuit,
@@ -142,21 +158,43 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
       probe.emplace(compiled.netlist(), compiled.lib());
     }
   }
-  auto eval_point = [&](const std::vector<double>& delays) {
-    return options.reference_kernels
-               ? evaluate(spec, circuit, delays, env_seed, options.run)
-           : options.reference_driver
-               ? evaluate(spec, binding, compiled, delays, env_seed, options.run, &*reuse)
-               : evaluate(spec, binding, delays, env_seed, options.run, *runner, &*probe);
+  // Objective memo.  With env_seed fixed the score is a pure function of
+  // the delay vector, and a climb over a few movable gates with corner
+  // snaps revisits points often.  A hit returns nullopt and only its score:
+  // the point was either accepted earlier (take_best saw it then) or
+  // rejected with a score above an incumbent that never rises since, so
+  // take_best could not take it; a violating point ends the climb the
+  // first time, so no hit is a violation.
+  std::unordered_map<PointKey, double, PointKeyHash> scored;
+  RestartOutcome out;
+  auto eval_point = [&](const std::vector<double>& delays,
+                        double& score) -> std::optional<Evaluation> {
+    PointKey key;
+    key.reserve(box.movable.size());
+    for (const netlist::GateId g : box.movable)
+      key.push_back(std::bit_cast<std::uint64_t>(delays[static_cast<std::size_t>(g)]));
+    if (const auto hit = scored.find(key); hit != scored.end()) {
+      ++out.memo_hits;
+      score = hit->second;
+      return std::nullopt;
+    }
+    Evaluation eval =
+        options.reference_kernels
+            ? evaluate(spec, circuit, delays, env_seed, options.run)
+        : options.reference_driver
+            ? evaluate(spec, binding, compiled, delays, env_seed, options.run, &*reuse)
+            : evaluate(spec, binding, delays, env_seed, options.run, *runner, &*probe);
+    score = eval.score;
+    scored.emplace(std::move(key), score);
+    return eval;
   };
 
-  RestartOutcome out;
   out.env_seed = env_seed;
 
   std::vector<double> current = sample_uniform(box, space, rng);
-  Evaluation eval = eval_point(current);
+  double current_score = kNoMargin;
+  const Evaluation eval = *eval_point(current, current_score);
   ++out.evaluations;
-  double current_score = eval.score;
   auto take_best = [&](const std::vector<double>& delays, const Evaluation& e) {
     if (e.score < out.best_score || out.delays.empty()) {
       out.best_score = e.score;
@@ -181,12 +219,13 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
     } else if (box.lo[i] < box.hi[i]) {
       candidate[i] = rng.next_double(box.lo[i], box.hi[i]);
     }
-    Evaluation step = eval_point(candidate);
+    double score = kNoMargin;
+    const std::optional<Evaluation> step = eval_point(candidate, score);
     ++out.evaluations;
-    if (step.score <= current_score) {  // accept sideways moves too
+    if (score <= current_score) {  // accept sideways moves too
       current = std::move(candidate);
-      current_score = step.score;
-      take_best(current, step);
+      current_score = score;
+      if (step) take_best(current, *step);
     }
   }
   return out;
@@ -230,8 +269,10 @@ AdversarialResult adversarial_delay_search(const sg::StateGraph& spec,
   // All restarts' evaluations, not just the merged ones: the counter
   // reflects work actually done, so it is nondeterministic across jobs
   // (parallel restarts past a violation still ran).
-  for (const RestartOutcome& out : restarts)
+  for (const RestartOutcome& out : restarts) {
     obs::count(obs::Counter::kAdversarialEvaluations, out.evaluations);
+    obs::count(obs::Counter::kAdversarialMemoHits, out.memo_hits);
+  }
   return result;
 }
 

@@ -9,7 +9,8 @@
 // and optionally extended to shaving delay lines toward 0 (the Eq. 1
 // under-compensation fault model).  Within a restart the environment
 // stream is fixed, so the objective is deterministic and hill steps are
-// meaningful.
+// meaningful; it also lets each restart memoize the objective, so a
+// revisited delay vector is scored without another simulation.
 #pragma once
 
 #include <vector>
@@ -42,7 +43,7 @@ struct AdversarialResult {
   std::vector<double> delays;     // the delay vector achieving it
   std::uint64_t env_seed = 0;     // environment stream that exposed it
   sim::ConformanceReport report;  // the best vector's run
-  long evaluations = 0;
+  long evaluations = 0;           // proposals scored, memo hits included
 };
 
 /// Hill-climb the delay space of `circuit` against `spec`.  Stops early

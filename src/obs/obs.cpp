@@ -36,6 +36,7 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
     {"faults_injected", true},
     {"batch_trials", true},
     {"adversarial_evaluations", false},
+    {"adversarial_memo_hits", false},
     {"memo_hits", false},
     {"memo_misses", false},
     {"batch_peels", false},

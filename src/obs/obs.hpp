@@ -57,6 +57,8 @@ enum class Counter : int {
   kBatchTrials,              // trials routed through the batched trial engine
   kAdversarialEvaluations,   // hill-climb objective evaluations (nondet:
                              // parallel restarts run past the serial early exit)
+  kAdversarialMemoHits,      // hill-climb proposals scored from the restart's
+                             // memo instead of simulated (nondet: as above)
   kMemoHits,                 // MemoCache hits (nondet: races both-compute)
   kMemoMisses,               // MemoCache misses
   kBatchPeels,               // batch lanes peeled off to scalar execution

@@ -5,6 +5,9 @@
 // minimize to its load-bearing core.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "bench_suite/benchmarks.hpp"
 #include "faults/adversarial.hpp"
 #include "faults/fault_model.hpp"
@@ -12,7 +15,11 @@
 #include "faults/minimize.hpp"
 #include "faults/stress.hpp"
 #include "nshot/synthesis.hpp"
+#include "obs/obs.hpp"
+#include "sim/compiled_netlist.hpp"
 #include "sim/conformance.hpp"
+#include "sim/trial_batch.hpp"
+#include "util/rng.hpp"
 
 namespace nshot {
 namespace {
@@ -203,6 +210,98 @@ TEST(AdversarialTest, FindsTrespassUniformMonteCarloMisses) {
   EXPECT_LT(adv.best_slack, 0.0);
   ASSERT_FALSE(adv.report.violations.empty());
   EXPECT_EQ(adv.report.violations.front().kind, sim::ViolationKind::kHazard);
+}
+
+/// What a memo-free replay of one hill-climb restart saw: every proposal
+/// simulated, and the proposals whose delay vector the restart had
+/// already scored counted on the side.
+struct ClimbReplay {
+  long evaluations = 0;
+  long revisits = 0;
+  double best_score = faults::kNoMargin;
+};
+
+/// The climb of faults/adversarial.cpp at stress factor 1 without delay
+/// shaving, written out plainly: same box, same RNG draws, same
+/// acceptance rule, but no objective memo.
+ClimbReplay replay_restart(const sg::StateGraph& spec, const netlist::Netlist& circuit,
+                           const faults::AdversarialOptions& options, int restart) {
+  const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+  const sim::SpecBinding binding(spec, circuit);
+  const sim::DelaySpace& space = compiled.delay_space();
+  sim::TrialRunner runner(compiled);
+  std::vector<netlist::GateId> movable;
+  for (netlist::GateId g = 0; g < circuit.num_gates(); ++g)
+    if (!space.fixed(g)) movable.push_back(g);
+
+  const std::uint64_t env_seed = run_seed(options.seed, restart);
+  Rng rng(env_seed ^ 0xadce5a17ULL);
+  ClimbReplay replay;
+  std::set<std::vector<double>> scored;
+  auto score = [&](const std::vector<double>& delays) {
+    ++replay.evaluations;
+    if (!scored.insert(delays).second) ++replay.revisits;
+    FaultScenario scenario;
+    scenario.seed = env_seed;
+    scenario.delays = delays;
+    const faults::ProbedRun run = faults::run_probed(spec, binding, scenario, options.run, runner);
+    const double s = run.report.violations.empty() ? run.min_slack : -faults::kNoMargin;
+    replay.best_score = std::min(replay.best_score, s);
+    return s;
+  };
+
+  std::vector<double> current = space.nominal_vector();
+  for (const netlist::GateId g : movable) {
+    const double lo = space.stressed_lo(g, 1.0), hi = space.stressed_hi(g, 1.0);
+    current[static_cast<std::size_t>(g)] = lo >= hi ? lo : rng.next_double(lo, hi);
+  }
+  double current_score = score(current);
+  for (int it = 0; it < options.iterations && replay.best_score != -faults::kNoMargin; ++it) {
+    if (movable.empty()) break;
+    std::vector<double> candidate = current;
+    const netlist::GateId g = movable[rng.next_below(movable.size())];
+    const double lo = space.stressed_lo(g, 1.0), hi = space.stressed_hi(g, 1.0);
+    const std::size_t i = static_cast<std::size_t>(g);
+    if (rng.next_bool(0.6))
+      candidate[i] = rng.next_bool() ? hi : lo;
+    else if (lo < hi)
+      candidate[i] = rng.next_double(lo, hi);
+    const double s = score(candidate);
+    if (s <= current_score) {
+      current = std::move(candidate);
+      current_score = s;
+    }
+  }
+  return replay;
+}
+
+TEST(AdversarialTest, MemoHitsAreExactlyTheRevisitedProposals) {
+  // The climb scores a revisited delay vector from its restart's memo
+  // instead of simulating it again.  Against a replay that simulates every
+  // proposal: the memo hits must be exactly the revisits, the evaluation
+  // count must not move, and the best margin must be the same.
+  const Synthesized s = synthesize("chu133");
+  faults::AdversarialOptions options;  // 2 restarts x 250 iterations
+  options.jobs = 1;
+
+  const obs::Session session("faults_test");
+  const faults::AdversarialResult result =
+      faults::adversarial_delay_search(s.graph, s.circuit, options);
+  ASSERT_FALSE(result.violation_found);  // so both restarts count in full
+
+  ClimbReplay total;
+  double best = faults::kNoMargin;
+  for (int r = 0; r < options.restarts; ++r) {
+    const ClimbReplay replay = replay_restart(s.graph, s.circuit, options, r);
+    total.evaluations += replay.evaluations;
+    total.revisits += replay.revisits;
+    best = std::min(best, replay.best_score);
+  }
+  EXPECT_EQ(result.evaluations, total.evaluations);
+  EXPECT_EQ(result.best_slack, best);
+  EXPECT_GT(total.revisits, 0);
+  EXPECT_EQ(session.counter_total(obs::Counter::kAdversarialEvaluations), total.evaluations);
+  EXPECT_EQ(session.counter_total(obs::Counter::kAdversarialMemoHits), total.revisits);
 }
 
 TEST(MinimizeTest, ShrinksMultiFaultFailureToSingleFaultWitness) {

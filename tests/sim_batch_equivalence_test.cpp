@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,19 +30,26 @@ struct Generated {
   core::SynthesisResult result;
 };
 
-/// One seeded random semi-modular controller, synthesized; nullopt when
-/// the draw is not implementable (a classified skip, not a failure).
-std::optional<Generated> generate(int seed) {
-  bench_suite::RandomStgOptions options;
-  options.seed = static_cast<std::uint64_t>(seed);
-  sg::StateGraph graph = bench_suite::build_g(bench_suite::random_semimodular_g(options));
-  if (graph.noninput_signals().empty()) return std::nullopt;
-  try {
-    core::SynthesisResult result = core::synthesize(graph);
-    return Generated{std::move(graph), std::move(result)};
-  } catch (const Error&) {
-    return std::nullopt;
+/// One seeded random semi-modular controller, synthesized.  Not every
+/// draw is implementable, so the draw is redone on the derived streams
+/// run_seed(seed, k), k = 0, 1, ..., until one is: every case runs a
+/// circuit instead of skipping, and the same seed always lands on the
+/// same circuit.
+Generated generate(int seed) {
+  constexpr int kMaxDraws = 64;
+  for (int k = 0; k < kMaxDraws; ++k) {
+    bench_suite::RandomStgOptions options;
+    options.seed = run_seed(static_cast<std::uint64_t>(seed), k);
+    sg::StateGraph graph = bench_suite::build_g(bench_suite::random_semimodular_g(options));
+    if (graph.noninput_signals().empty()) continue;
+    try {
+      core::SynthesisResult result = core::synthesize(graph);
+      return Generated{std::move(graph), std::move(result)};
+    } catch (const Error&) {
+      // Not implementable: draw again.
+    }
   }
+  throw std::runtime_error("no implementable draw for seed " + std::to_string(seed));
 }
 
 /// Per-trial closed-loop config, shaped like check_conformance's sweep.
@@ -85,11 +93,10 @@ void expect_same_report(const sim::ConformanceReport& got, const sim::Conformanc
 class SimBatchEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimBatchEquivalenceTest, TrialRunnerMatchesReferencePerTrial) {
-  const std::optional<Generated> gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "draw is not implementable";
-  const netlist::Netlist& circuit = gen->result.circuit;
+  const Generated gen = generate(GetParam());
+  const netlist::Netlist& circuit = gen.result.circuit;
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
-  const sim::SpecBinding binding(gen->graph, circuit);
+  const sim::SpecBinding binding(gen.graph, circuit);
   sim::TrialRunner runner(compiled);
 
   const std::uint64_t base_seed = 0xbeefULL + static_cast<std::uint64_t>(GetParam());
@@ -100,10 +107,10 @@ TEST_P(SimBatchEquivalenceTest, TrialRunnerMatchesReferencePerTrial) {
 
     // Deepest oracle: the uncompiled per-trial reference simulator.
     sim::VcdRecorder want_vcd(circuit);
-    const sim::ConformanceReport want = sim::run_closed_loop(gen->graph, circuit, config, &want_vcd);
+    const sim::ConformanceReport want = sim::run_closed_loop(gen.graph, circuit, config, &want_vcd);
 
     sim::VcdRecorder got_vcd(circuit);
-    const sim::ConformanceReport got = runner.run(gen->graph, binding, config, &got_vcd);
+    const sim::ConformanceReport got = runner.run(gen.graph, binding, config, &got_vcd);
 
     expect_same_report(got, want, label);
     EXPECT_EQ(got_vcd.write(), want_vcd.write()) << "VCD witness diverged: " << label;
@@ -111,11 +118,10 @@ TEST_P(SimBatchEquivalenceTest, TrialRunnerMatchesReferencePerTrial) {
 }
 
 TEST_P(SimBatchEquivalenceTest, TrialBatchMatchesReferenceAcrossLanes) {
-  const std::optional<Generated> gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "draw is not implementable";
-  const netlist::Netlist& circuit = gen->result.circuit;
+  const Generated gen = generate(GetParam());
+  const netlist::Netlist& circuit = gen.result.circuit;
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
-  const sim::SpecBinding binding(gen->graph, circuit);
+  const sim::SpecBinding binding(gen.graph, circuit);
 
   // A full 64-lane batch with deliberate duplicates so the lockstep-share
   // path (identical configs riding one scalar run) is exercised alongside
@@ -127,22 +133,21 @@ TEST_P(SimBatchEquivalenceTest, TrialBatchMatchesReferenceAcrossLanes) {
 
   sim::TrialBatch batch(compiled);
   std::vector<sim::ConformanceReport> got(configs.size());
-  batch.run(gen->graph, binding, configs.data(), static_cast<int>(configs.size()), got.data());
+  batch.run(gen.graph, binding, configs.data(), static_cast<int>(configs.size()), got.data());
 
   for (std::size_t lane = 0; lane < configs.size(); ++lane) {
     const sim::ConformanceReport want =
-        sim::run_closed_loop(gen->graph, binding, compiled, configs[lane]);
+        sim::run_closed_loop(gen.graph, binding, compiled, configs[lane]);
     expect_same_report(got[lane], want,
                        "circuit " + std::to_string(GetParam()) + " lane " + std::to_string(lane));
   }
 }
 
 TEST_P(SimBatchEquivalenceTest, FaultedConfigsMatchReference) {
-  const std::optional<Generated> gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "draw is not implementable";
-  const netlist::Netlist& circuit = gen->result.circuit;
+  const Generated gen = generate(GetParam());
+  const netlist::Netlist& circuit = gen.result.circuit;
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
-  const sim::SpecBinding binding(gen->graph, circuit);
+  const sim::SpecBinding binding(gen.graph, circuit);
   sim::TrialRunner runner(compiled);
 
   // Stuck-at + glitch configs go through the single-step injection path
@@ -178,9 +183,9 @@ TEST_P(SimBatchEquivalenceTest, FaultedConfigsMatchReference) {
         "circuit " + std::to_string(GetParam()) + " faulted trial " + std::to_string(r);
     sim::VcdRecorder want_vcd(circuit);
     const sim::ConformanceReport want =
-        sim::run_closed_loop(gen->graph, circuit, config, &want_vcd);
+        sim::run_closed_loop(gen.graph, circuit, config, &want_vcd);
     sim::VcdRecorder got_vcd(circuit);
-    const sim::ConformanceReport got = runner.run(gen->graph, binding, config, &got_vcd);
+    const sim::ConformanceReport got = runner.run(gen.graph, binding, config, &got_vcd);
     expect_same_report(got, want, label);
     EXPECT_EQ(got_vcd.write(), want_vcd.write()) << "VCD witness diverged: " << label;
   }
@@ -226,15 +231,14 @@ netlist::Netlist with_ladders(const netlist::Netlist& source, int length) {
 }
 
 TEST_P(SimBatchEquivalenceTest, ChainHeavyCircuitsMatchReference) {
-  const std::optional<Generated> gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "draw is not implementable";
+  const Generated gen = generate(GetParam());
   // Long ladders on every combinational output: the fused-chain walk now
   // carries most of the event traffic instead of the queue.
-  const netlist::Netlist circuit = with_ladders(gen->result.circuit, 6);
+  const netlist::Netlist circuit = with_ladders(gen.result.circuit, 6);
   circuit.check_well_formed();
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
   ASSERT_GE(compiled.longest_fused_chain(), std::size_t{6});
-  const sim::SpecBinding binding(gen->graph, circuit);
+  const sim::SpecBinding binding(gen.graph, circuit);
   sim::TrialRunner runner(compiled);
 
   const std::uint64_t base_seed = 0xcadeULL + static_cast<std::uint64_t>(GetParam());
@@ -243,20 +247,19 @@ TEST_P(SimBatchEquivalenceTest, ChainHeavyCircuitsMatchReference) {
     const std::string label =
         "laddered circuit " + std::to_string(GetParam()) + " trial " + std::to_string(r);
     sim::VcdRecorder want_vcd(circuit);
-    const sim::ConformanceReport want = sim::run_closed_loop(gen->graph, circuit, config, &want_vcd);
+    const sim::ConformanceReport want = sim::run_closed_loop(gen.graph, circuit, config, &want_vcd);
     sim::VcdRecorder got_vcd(circuit);
-    const sim::ConformanceReport got = runner.run(gen->graph, binding, config, &got_vcd);
+    const sim::ConformanceReport got = runner.run(gen.graph, binding, config, &got_vcd);
     expect_same_report(got, want, label);
     EXPECT_EQ(got_vcd.write(), want_vcd.write()) << "VCD witness diverged: " << label;
   }
 }
 
 TEST_P(SimBatchEquivalenceTest, FaultedChainHeavyCircuitsMatchReference) {
-  const std::optional<Generated> gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "draw is not implementable";
-  const netlist::Netlist circuit = with_ladders(gen->result.circuit, 6);
+  const Generated gen = generate(GetParam());
+  const netlist::Netlist circuit = with_ladders(gen.result.circuit, 6);
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
-  const sim::SpecBinding binding(gen->graph, circuit);
+  const sim::SpecBinding binding(gen.graph, circuit);
   sim::TrialRunner runner(compiled);
 
   // Force/inject ON the ladder nets themselves: a forced mid-chain net
@@ -284,9 +287,9 @@ TEST_P(SimBatchEquivalenceTest, FaultedChainHeavyCircuitsMatchReference) {
     const std::string label =
         "laddered circuit " + std::to_string(GetParam()) + " faulted trial " + std::to_string(r);
     sim::VcdRecorder want_vcd(circuit);
-    const sim::ConformanceReport want = sim::run_closed_loop(gen->graph, circuit, config, &want_vcd);
+    const sim::ConformanceReport want = sim::run_closed_loop(gen.graph, circuit, config, &want_vcd);
     sim::VcdRecorder got_vcd(circuit);
-    const sim::ConformanceReport got = runner.run(gen->graph, binding, config, &got_vcd);
+    const sim::ConformanceReport got = runner.run(gen.graph, binding, config, &got_vcd);
     expect_same_report(got, want, label);
     EXPECT_EQ(got_vcd.write(), want_vcd.write()) << "VCD witness diverged: " << label;
   }
