@@ -5,9 +5,9 @@
 // StressOptions::reference_kernels, ExactOptions inherited reference_kernels,
 // ReachabilityOptions::reference_maps, compute_regions_reference).  For each
 // benchmark circuit this harness runs the Monte Carlo conformance sweep and
-// the full stress campaign once through the reference path and once through
-// the compiled path — both at jobs=1, so the comparison isolates the kernels
-// from the parallel engine — and
+// the full stress campaign once on the reference oracle and once on the
+// production trial engine (sim/trial_engine.hpp) — both at jobs=1, so the
+// comparison isolates the kernels from the parallel engine — and
 //   * asserts the two reports are byte-identical;
 //   * records wall-clock times and speedups in BENCH_kernels.json.
 // The logic / reachability / region kernels are timed the same way on
@@ -15,18 +15,10 @@
 //
 // `--smoke` shrinks every workload for CI sanity runs; the JSON records the
 // flag so smoke numbers are never mistaken for measurements.
-//
-// `--baseline FILE` additionally compares the compiled-path times against a
-// BENCH_parallel.json produced by a pre-kernel-layer build (its jobs=1
-// workload is identical to this harness's), reporting the cross-build
-// speedup the in-binary reference comparison cannot see: the reference
-// flags restore the old algorithms and per-trial construction, but both
-// paths share the rewritten event loop.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -98,16 +90,15 @@ std::string conformance_fingerprint(const sim::ConformanceReport& r) {
 struct CaseTiming {
   std::string name;
   int states = 0, signals = 0;
-  double conf_reference_ms = 0, conf_compiled_ms = 0, conf_batched_ms = 0;
-  double conf_reference_sd = 0, conf_compiled_sd = 0, conf_batched_sd = 0;
-  double stress_reference_ms = 0, stress_compiled_ms = 0, stress_batched_ms = 0;
-  double stress_reference_sd = 0, stress_compiled_sd = 0, stress_batched_sd = 0;
+  double conf_reference_ms = 0, conf_production_ms = 0;
+  double conf_reference_sd = 0, conf_production_sd = 0;
+  double stress_reference_ms = 0, stress_production_ms = 0;
+  double stress_reference_sd = 0, stress_production_sd = 0;
   /// Committed transitions of the conformance sweep (external + internal)
   /// — identical across legs by the byte-identity contract, so per-leg
   /// events/sec ratios are exactly the inverse time ratios.  This is
   /// committed-event throughput, not raw queue traffic (absorbed and
-  /// stale events are excluded); bench_queue_scaling records the raw
-  /// number on its open-loop workload.
+  /// stale events are excluded).
   long conf_events = 0;
   double conf_events_per_sec(double ms) const {
     return ms > 0 ? static_cast<double>(conf_events) / (ms / 1e3) : 0;
@@ -143,57 +134,39 @@ CaseTiming measure(const std::string& name, bool smoke) {
   // a deep min-of-N converges on the true floor.
   const int reps = smoke ? 1 : 15;
 
-  // Three legs, interleaved: the uncompiled reference kernels, the frozen
-  // pre-batch compiled driver (reference_driver — binary heap, per-trial
-  // settle, std::function observer), and the default batched engine
-  // (calendar queue + TrialBatch).  The recorded speedups are
-  // reference/compiled (the kernel layer's historical claim) and
-  // compiled/batched (this layer's claim); all three reports must be
-  // byte-identical.
-  sim::ConformanceReport conf_reference, conf_compiled, conf_batched;
-  faults::StressReport stress_reference, stress_compiled, stress_batched;
-  MinTimer conf_ref_t, conf_fast_t, conf_batch_t, stress_ref_t, stress_fast_t, stress_batch_t;
+  // Two legs, interleaved: the reference oracle (per-trial compile and
+  // construction, one step() per event) and the production engine
+  // (TrialRunner).  The recorded speedups are reference/production; both
+  // reports must be byte-identical.
+  sim::ConformanceReport conf_reference, conf_production;
+  faults::StressReport stress_reference, stress_production;
+  MinTimer conf_ref_t, conf_prod_t, stress_ref_t, stress_prod_t;
   for (int i = 0; i < reps; ++i) {
     conf.reference_kernels = true;
-    conf.reference_driver = false;
     conf_ref_t.sample([&] { conf_reference = sim::check_conformance(g, result.circuit, conf); });
     conf.reference_kernels = false;
-    conf.reference_driver = true;
-    conf_fast_t.sample([&] { conf_compiled = sim::check_conformance(g, result.circuit, conf); });
-    conf.reference_driver = false;
-    conf_batch_t.sample([&] { conf_batched = sim::check_conformance(g, result.circuit, conf); });
+    conf_prod_t.sample([&] { conf_production = sim::check_conformance(g, result.circuit, conf); });
     stress.reference_kernels = true;
-    stress.reference_driver = false;
     stress_ref_t.sample(
         [&] { stress_reference = faults::run_stress(g, result.circuit, name, stress); });
     stress.reference_kernels = false;
-    stress.reference_driver = true;
-    stress_fast_t.sample(
-        [&] { stress_compiled = faults::run_stress(g, result.circuit, name, stress); });
-    stress.reference_driver = false;
-    stress_batch_t.sample(
-        [&] { stress_batched = faults::run_stress(g, result.circuit, name, stress); });
+    stress_prod_t.sample(
+        [&] { stress_production = faults::run_stress(g, result.circuit, name, stress); });
   }
   timing.conf_reference_ms = conf_ref_t.best;
-  timing.conf_compiled_ms = conf_fast_t.best;
-  timing.conf_batched_ms = conf_batch_t.best;
+  timing.conf_production_ms = conf_prod_t.best;
   timing.conf_reference_sd = conf_ref_t.sd();
-  timing.conf_compiled_sd = conf_fast_t.sd();
-  timing.conf_batched_sd = conf_batch_t.sd();
+  timing.conf_production_sd = conf_prod_t.sd();
   timing.stress_reference_ms = stress_ref_t.best;
-  timing.stress_compiled_ms = stress_fast_t.best;
-  timing.stress_batched_ms = stress_batch_t.best;
+  timing.stress_production_ms = stress_prod_t.best;
   timing.stress_reference_sd = stress_ref_t.sd();
-  timing.stress_compiled_sd = stress_fast_t.sd();
-  timing.stress_batched_sd = stress_batch_t.sd();
+  timing.stress_production_sd = stress_prod_t.sd();
 
   timing.conf_events = conf_reference.external_transitions + conf_reference.internal_toggles;
-  const std::string conf_fp = conformance_fingerprint(conf_reference);
-  const std::string stress_fp = faults::stress_report_json(stress_reference);
-  timing.identical = conf_fp == conformance_fingerprint(conf_compiled) &&
-                     conf_fp == conformance_fingerprint(conf_batched) &&
-                     stress_fp == faults::stress_report_json(stress_compiled) &&
-                     stress_fp == faults::stress_report_json(stress_batched);
+  timing.identical =
+      conformance_fingerprint(conf_reference) == conformance_fingerprint(conf_production) &&
+      faults::stress_report_json(stress_reference) ==
+          faults::stress_report_json(stress_production);
   return timing;
 }
 
@@ -414,77 +387,35 @@ ObsTiming measure_obs(bool smoke) {
   return timing;
 }
 
-/// A jobs=1 measurement from a pre-kernel-layer build of bench_parallel
-/// (same workload as measure() above).
-struct BaselineCase {
-  std::string name;
-  double conf_ms = 0, stress_ms = 0;
-};
-
-/// Minimal extraction from BENCH_parallel.json: per-case name plus the two
-/// serial times.  Tolerant of field order as long as the times follow the
-/// name within the case object.
-std::vector<BaselineCase> load_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::vector<BaselineCase> cases;
-  std::size_t pos = 0;
-  while ((pos = text.find("\"name\": \"", pos)) != std::string::npos) {
-    pos += 9;
-    const std::size_t end = text.find('"', pos);
-    if (end == std::string::npos) break;
-    BaselineCase c;
-    c.name = text.substr(pos, end - pos);
-    auto number_after = [&](const char* key) {
-      const std::size_t k = text.find(key, end);
-      return k == std::string::npos ? 0.0
-                                    : std::strtod(text.c_str() + k + std::strlen(key), nullptr);
-    };
-    c.conf_ms = number_after("\"conformance_serial_ms\": ");
-    c.stress_ms = number_after("\"stress_serial_ms\": ");
-    cases.push_back(std::move(c));
-    pos = end;
-  }
-  return cases;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   const char* out_path = "BENCH_kernels.json";
-  std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       smoke = true;
-    else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc)
-      baseline_path = argv[++i];
     else
       out_path = argv[i];
   }
-  const std::vector<BaselineCase> baseline = load_baseline(baseline_path);
 
   const int hardware = exec::hardware_jobs();
-  std::printf("Kernel bench: reference vs compiled paths, jobs=1%s\n\n",
+  std::printf("Kernel bench: reference vs production paths, jobs=1%s\n\n",
               smoke ? " (smoke)" : "");
-  std::printf("%-12s %10s %10s %10s %7s %10s %10s %10s %7s %5s\n", "circuit", "conf ref",
-              "conf fast", "conf batch", "batch x", "stress ref", "stress fast", "stress batch",
-              "batch x", "same");
+  std::printf("%-12s %10s %10s %7s %10s %10s %7s %5s\n", "circuit", "conf ref", "conf prod",
+              "x", "stress ref", "stress prod", "x", "same");
 
   bool all_identical = true;
   std::vector<CaseTiming> timings;
   for (const char* name : {"chu133", "converta", "vbe5b", "read-write"}) {
     const CaseTiming t = measure(name, smoke);
-    NSHOT_REQUIRE(t.identical, "compiled report diverged from reference on " + t.name);
+    NSHOT_REQUIRE(t.identical, "production report diverged from reference on " + t.name);
     all_identical &= t.identical;
-    std::printf("%-12s %8.1fms %8.1fms %8.1fms %6.2fx %8.1fms %8.1fms %8.1fms %6.2fx %5s\n",
-                t.name.c_str(), t.conf_reference_ms, t.conf_compiled_ms, t.conf_batched_ms,
-                t.conf_compiled_ms / t.conf_batched_ms, t.stress_reference_ms,
-                t.stress_compiled_ms, t.stress_batched_ms,
-                t.stress_compiled_ms / t.stress_batched_ms, t.identical ? "yes" : "NO");
+    std::printf("%-12s %8.1fms %8.1fms %6.2fx %8.1fms %8.1fms %6.2fx %5s\n", t.name.c_str(),
+                t.conf_reference_ms, t.conf_production_ms,
+                t.conf_reference_ms / t.conf_production_ms, t.stress_reference_ms,
+                t.stress_production_ms, t.stress_reference_ms / t.stress_production_ms,
+                t.identical ? "yes" : "NO");
     timings.push_back(t);
   }
 
@@ -504,92 +435,48 @@ int main(int argc, char** argv) {
       "\nobservability: dormant %.1fms, collecting %.1fms (%+.2f%% while collecting)\n",
       obs_timing.disabled_ms, obs_timing.enabled_ms, obs_timing.overhead_pct());
 
-  double conf_reference = 0, conf_compiled = 0, conf_batched = 0;
-  double stress_reference = 0, stress_compiled = 0, stress_batched = 0;
+  double conf_reference = 0, conf_production = 0;
+  double stress_reference = 0, stress_production = 0;
   for (const CaseTiming& t : timings) {
     conf_reference += t.conf_reference_ms;
-    conf_compiled += t.conf_compiled_ms;
-    conf_batched += t.conf_batched_ms;
+    conf_production += t.conf_production_ms;
     stress_reference += t.stress_reference_ms;
-    stress_compiled += t.stress_compiled_ms;
-    stress_batched += t.stress_batched_ms;
+    stress_production += t.stress_production_ms;
   }
-  const double conf_speedup = conf_compiled > 0 ? conf_reference / conf_compiled : 0;
-  const double stress_speedup = stress_compiled > 0 ? stress_reference / stress_compiled : 0;
-  const double total_speedup = (conf_compiled + stress_compiled) > 0
+  const double conf_speedup = conf_production > 0 ? conf_reference / conf_production : 0;
+  const double stress_speedup = stress_production > 0 ? stress_reference / stress_production : 0;
+  const double total_speedup = (conf_production + stress_production) > 0
                                    ? (conf_reference + stress_reference) /
-                                         (conf_compiled + stress_compiled)
+                                         (conf_production + stress_production)
                                    : 0;
-  // The batched engine's claim: batched vs the frozen pre-batch compiled
-  // driver, same workload, same thread.
-  const double conf_batch_speedup = conf_batched > 0 ? conf_compiled / conf_batched : 0;
-  const double stress_batch_speedup = stress_batched > 0 ? stress_compiled / stress_batched : 0;
-  const double total_batch_speedup =
-      (conf_batched + stress_batched) > 0
-          ? (conf_compiled + stress_compiled) / (conf_batched + stress_batched)
-          : 0;
   std::printf(
-      "\ntotal: kernels vs reference: conformance %.2fx, stress %.2fx, combined %.2fx\n"
-      "       batched vs pre-batch:  conformance %.2fx, stress %.2fx, combined %.2fx "
+      "\ntotal: production vs reference: conformance %.2fx, stress %.2fx, combined %.2fx "
       "(single thread, %d hardware threads)\n",
-      conf_speedup, stress_speedup, total_speedup, conf_batch_speedup, stress_batch_speedup,
-      total_batch_speedup, hardware);
-
-  // Cross-build comparison against a pre-kernel-layer bench_parallel run.
-  double base_conf = 0, base_stress = 0, base_conf_compiled = 0, base_stress_compiled = 0;
-  for (const BaselineCase& b : baseline) {
-    for (const CaseTiming& t : timings) {
-      if (t.name != b.name) continue;
-      base_conf += b.conf_ms;
-      base_stress += b.stress_ms;
-      base_conf_compiled += t.conf_compiled_ms;
-      base_stress_compiled += t.stress_compiled_ms;
-    }
-  }
-  const bool have_baseline = base_conf_compiled > 0 && base_stress_compiled > 0;
-  const double vs_base_conf = have_baseline ? base_conf / base_conf_compiled : 0;
-  const double vs_base_stress = have_baseline ? base_stress / base_stress_compiled : 0;
-  const double vs_base_total =
-      have_baseline
-          ? (base_conf + base_stress) / (base_conf_compiled + base_stress_compiled)
-          : 0;
-  if (have_baseline)
-    std::printf(
-        "vs pre-kernel build (%s): conformance %.2fx, stress %.2fx, combined %.2fx\n",
-        baseline_path.c_str(), vs_base_conf, vs_base_stress, vs_base_total);
+      conf_speedup, stress_speedup, total_speedup, hardware);
 
   std::ostringstream json;
   json << "{\n  \"hardware_jobs\": " << hardware << ",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"byte_identical\": " << (all_identical ? "true" : "false")
        << ",\n  \"conformance_speedup\": " << conf_speedup
        << ",\n  \"stress_speedup\": " << stress_speedup
-       << ",\n  \"total_speedup\": " << total_speedup
-       << ",\n  \"conformance_batch_speedup\": " << conf_batch_speedup
-       << ",\n  \"stress_batch_speedup\": " << stress_batch_speedup
-       << ",\n  \"total_batch_speedup\": " << total_batch_speedup << ",\n  \"cases\": [\n";
+       << ",\n  \"total_speedup\": " << total_speedup << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const CaseTiming& t = timings[i];
     json << "    {\"name\": \"" << t.name << "\", \"states\": " << t.states
          << ", \"signals\": " << t.signals << ", \"hardware_concurrency\": " << hardware
          << ", \"conformance_reference_ms\": " << t.conf_reference_ms
          << ", \"conformance_reference_sd\": " << t.conf_reference_sd
-         << ", \"conformance_compiled_ms\": " << t.conf_compiled_ms
-         << ", \"conformance_compiled_sd\": " << t.conf_compiled_sd
-         << ", \"conformance_batched_ms\": " << t.conf_batched_ms
-         << ", \"conformance_batched_sd\": " << t.conf_batched_sd
+         << ", \"conformance_production_ms\": " << t.conf_production_ms
+         << ", \"conformance_production_sd\": " << t.conf_production_sd
          << ", \"conformance_events\": " << t.conf_events
          << ", \"conformance_events_per_sec_reference\": "
          << t.conf_events_per_sec(t.conf_reference_ms)
-         << ", \"conformance_events_per_sec_compiled\": "
-         << t.conf_events_per_sec(t.conf_compiled_ms)
-         << ", \"conformance_events_per_sec_batched\": "
-         << t.conf_events_per_sec(t.conf_batched_ms)
+         << ", \"conformance_events_per_sec_production\": "
+         << t.conf_events_per_sec(t.conf_production_ms)
          << ", \"stress_reference_ms\": " << t.stress_reference_ms
          << ", \"stress_reference_sd\": " << t.stress_reference_sd
-         << ", \"stress_compiled_ms\": " << t.stress_compiled_ms
-         << ", \"stress_compiled_sd\": " << t.stress_compiled_sd
-         << ", \"stress_batched_ms\": " << t.stress_batched_ms
-         << ", \"stress_batched_sd\": " << t.stress_batched_sd << "}"
+         << ", \"stress_production_ms\": " << t.stress_production_ms
+         << ", \"stress_production_sd\": " << t.stress_production_sd << "}"
          << (i + 1 < timings.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"kernels\": [\n";
@@ -606,12 +493,6 @@ int main(int argc, char** argv) {
        << ", \"enabled_ms\": " << obs_timing.enabled_ms
        << ", \"overhead_pct\": " << obs_timing.overhead_pct() << ", "
        << obs_timing.passes_fragment << "}";
-  if (have_baseline) {
-    json << ",\n  \"baseline\": {\n    \"path\": \"" << baseline_path
-         << "\",\n    \"conformance_speedup\": " << vs_base_conf
-         << ",\n    \"stress_speedup\": " << vs_base_stress
-         << ",\n    \"total_speedup\": " << vs_base_total << "\n  }";
-  }
   json << "\n}\n";
   std::ofstream(out_path) << json.str();
   std::printf("wrote %s\n", out_path);

@@ -277,19 +277,13 @@ int resolve_grain(int grain, int n, int workers) {
 
 }  // namespace
 
-int batch_grain(int n, int jobs, int lanes) {
+int batch_grain(int n, int jobs) {
   if (n <= 1) return 1;
   // Chunks beyond the physical thread count cannot add throughput — they
   // only fragment the per-chunk state (a jobs=8 request on a 1-core host
-  // must still run one chunk with full 64-lane groups).
+  // must still run one chunk).
   const int workers = std::max(1, std::min({resolve_jobs(jobs), hardware_jobs(), n}));
-  int grain = (n + workers - 1) / workers;
-  // Keep lane groups whole: only the final chunk of the sweep may run a
-  // partial group.  Rounding up can leave trailing workers idle, but a
-  // full 64-lane settle on fewer workers beats fragmented groups on all
-  // of them.
-  if (lanes > 1) grain = (grain + lanes - 1) / lanes * lanes;
-  return grain;
+  return (n + workers - 1) / workers;
 }
 
 void parallel_for_chunks(int n, int grain, const std::function<void(int, int)>& chunk,

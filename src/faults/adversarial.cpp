@@ -9,7 +9,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "sim/delay_space.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -64,47 +64,18 @@ struct Evaluation {
   ProbedRun run;
 };
 
-Evaluation evaluate(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                    std::vector<double> delays, std::uint64_t env_seed,
-                    const ScenarioOptions& options) {
-  FaultScenario scenario;
-  scenario.seed = env_seed;
-  scenario.delays = std::move(delays);
-  Evaluation eval;
-  eval.run = run_probed(spec, circuit, scenario, options);
-  eval.score = eval.run.report.violations.empty() ? eval.run.min_slack : -kNoMargin;
-  return eval;
-}
-
-Evaluation evaluate(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                    const sim::CompiledNetlist& compiled, std::vector<double> delays,
-                    std::uint64_t env_seed, const ScenarioOptions& options,
-                    sim::Simulator* reuse) {
-  FaultScenario scenario;
-  scenario.seed = env_seed;
-  scenario.delays = std::move(delays);
-  Evaluation eval;
-  eval.run = run_probed(spec, binding, compiled, scenario, options, reuse);
-  eval.score = eval.run.report.violations.empty() ? eval.run.min_slack : -kNoMargin;
-  return eval;
-}
-
 Evaluation evaluate(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                     std::vector<double> delays, std::uint64_t env_seed,
-                    const ScenarioOptions& options, sim::TrialRunner& runner,
-                    MarginProbe* probe) {
+                    const ScenarioOptions& options, sim::TrialEngine& engine,
+                    MarginProbe& probe) {
   FaultScenario scenario;
   scenario.seed = env_seed;
   scenario.delays = std::move(delays);
   Evaluation eval;
-  eval.run = run_probed(spec, binding, scenario, options, runner, probe);
+  eval.run = run_probed(spec, binding, scenario, options, engine, probe);
   eval.score = eval.run.report.violations.empty() ? eval.run.min_slack : -kNoMargin;
   return eval;
 }
-
-}  // namespace
-
-namespace {
 
 /// The best point one hill-climb restart found, plus its cost.  Restarts
 /// are fully independent — each derives its environment stream and climb
@@ -133,31 +104,18 @@ struct PointKeyHash {
   }
 };
 
-RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist& circuit,
-                             const SearchSpace& box, const sim::DelaySpace& space,
-                             const AdversarialOptions& options, int restart,
-                             const sim::SpecBinding& binding,
+RestartOutcome climb_restart(const sg::StateGraph& spec, const SearchSpace& box,
+                             const sim::DelaySpace& space, const AdversarialOptions& options,
+                             int restart, const sim::SpecBinding& binding,
                              const sim::CompiledNetlist& compiled) {
   // One environment stream per restart keeps the objective deterministic
   // in the delay vector, so accepted steps are genuine descents.
   const std::uint64_t env_seed = run_seed(options.seed, restart);
   Rng rng(env_seed ^ 0xadce5a17ULL);
 
-  // The whole climb is a serial evaluate loop — the prime engine-reuse
-  // site.  Engine three-way: uncompiled reference kernels, the frozen
-  // pre-batch compiled driver, or (default) the calendar-queue
-  // TrialRunner with a restart-reused MarginProbe.
-  std::optional<sim::Simulator> reuse;
-  std::optional<sim::TrialRunner> runner;
-  std::optional<MarginProbe> probe;
-  if (!options.reference_kernels) {
-    if (options.reference_driver) {
-      reuse.emplace(compiled, sim::SimulatorOptions{});
-    } else {
-      runner.emplace(compiled);
-      probe.emplace(compiled.netlist(), compiled.lib());
-    }
-  }
+  // The whole climb is a serial evaluate loop on one engine and one probe.
+  sim::TrialEngine engine(compiled, options.reference_kernels);
+  MarginProbe probe(compiled.netlist(), compiled.lib());
   // Objective memo.  With env_seed fixed the score is a pure function of
   // the delay vector, and a climb over a few movable gates with corner
   // snaps revisits points often.  A hit returns nullopt and only its score:
@@ -178,12 +136,7 @@ RestartOutcome climb_restart(const sg::StateGraph& spec, const netlist::Netlist&
       score = hit->second;
       return std::nullopt;
     }
-    Evaluation eval =
-        options.reference_kernels
-            ? evaluate(spec, circuit, delays, env_seed, options.run)
-        : options.reference_driver
-            ? evaluate(spec, binding, compiled, delays, env_seed, options.run, &*reuse)
-            : evaluate(spec, binding, delays, env_seed, options.run, *runner, &*probe);
+    Evaluation eval = evaluate(spec, binding, delays, env_seed, options.run, engine, probe);
     score = eval.score;
     scored.emplace(std::move(key), score);
     return eval;
@@ -244,7 +197,7 @@ AdversarialResult adversarial_delay_search(const sg::StateGraph& spec,
 
   std::vector<RestartOutcome> restarts = exec::parallel_map<RestartOutcome>(
       options.restarts,
-      [&](int r) { return climb_restart(spec, circuit, box, space, options, r, binding, compiled); },
+      [&](int r) { return climb_restart(spec, box, space, options, r, binding, compiled); },
       options.jobs);
 
   // Merge in restart order, reproducing the serial sweep exactly: a strict
@@ -292,28 +245,13 @@ MonteCarloResult stressed_monte_carlo(const sg::StateGraph& spec,
   exec::parallel_for_chunks(
       runs, options.grain > 0 ? options.grain : exec::batch_grain(runs, options.jobs),
       [&](int begin, int end) {
-        std::optional<sim::Simulator> reuse;
-        std::optional<sim::TrialRunner> runner;
-        std::optional<MarginProbe> probe;
-        if (!options.reference_kernels) {
-          if (options.reference_driver) {
-            reuse.emplace(compiled, sim::SimulatorOptions{});
-          } else {
-            runner.emplace(compiled);
-            probe.emplace(compiled.netlist(), compiled.lib());
-          }
-        }
+        sim::TrialEngine engine(compiled, options.reference_kernels);
+        MarginProbe probe(compiled.netlist(), compiled.lib());
         for (int r = begin; r < end; ++r) {
           const std::uint64_t seed = run_seed(options.seed, r);
           Rng rng(seed);
-          const Evaluation eval =
-              options.reference_kernels
-                  ? evaluate(spec, circuit, sample_uniform(box, space, rng), seed, options.run)
-              : options.reference_driver
-                  ? evaluate(spec, binding, compiled, sample_uniform(box, space, rng), seed,
-                             options.run, &*reuse)
-                  : evaluate(spec, binding, sample_uniform(box, space, rng), seed, options.run,
-                             *runner, &*probe);
+          const Evaluation eval = evaluate(spec, binding, sample_uniform(box, space, rng), seed,
+                                           options.run, engine, probe);
           trials[static_cast<std::size_t>(r)] =
               Trial{!eval.run.report.violations.empty(), eval.run.min_slack};
         }

@@ -4,7 +4,7 @@
 
 #include "netlist/transform.hpp"
 #include "sim/delay_space.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_engine.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 
@@ -87,19 +87,10 @@ sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::N
 }
 
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                                    const sim::CompiledNetlist& compiled,
                                     const FaultScenario& scenario,
-                                    const ScenarioOptions& options, sim::VcdRecorder* recorder,
-                                    sim::Simulator* reuse) {
-  return sim::run_closed_loop(spec, binding, compiled, to_config(scenario, options), recorder,
-                              reuse);
-}
-
-sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                                    const FaultScenario& scenario,
-                                    const ScenarioOptions& options, sim::TrialRunner& runner,
+                                    const ScenarioOptions& options, sim::TrialEngine& engine,
                                     sim::VcdRecorder* recorder) {
-  return runner.run(spec, binding, to_config(scenario, options), recorder);
+  return engine.run(spec, binding, to_config(scenario, options), recorder);
 }
 
 namespace {

@@ -28,7 +28,7 @@
 
 namespace nshot::sim {
 class VcdRecorder;
-class TrialRunner;  // sim/trial_batch.hpp
+class TrialEngine;  // sim/trial_engine.hpp
 }
 
 namespace nshot::faults {
@@ -80,28 +80,17 @@ struct ScenarioOptions {
 /// observers/probes to the returned config before running it.
 sim::ClosedLoopConfig to_config(const FaultScenario& scenario, const ScenarioOptions& options);
 
-/// Run one scenario of `circuit` against `spec`.
+/// Run one scenario of `circuit` against `spec` on the reference oracle.
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                     const FaultScenario& scenario,
                                     const ScenarioOptions& options,
                                     sim::VcdRecorder* recorder = nullptr);
 
-/// Hot-path variant over a pre-compiled netlist and pre-resolved binding;
-/// `reuse` (optional, built from `compiled`) is reset and reused for the
-/// run.  Byte-identical to the uncompiled overload.
-sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                                    const sim::CompiledNetlist& compiled,
-                                    const FaultScenario& scenario,
-                                    const ScenarioOptions& options,
-                                    sim::VcdRecorder* recorder = nullptr,
-                                    sim::Simulator* reuse = nullptr);
-
-/// Batched-engine variant: the scenario runs on `runner`'s calendar-queue
-/// simulator (sim/trial_batch.hpp) against runner.compiled().
-/// Byte-identical to both overloads above.
+/// Sweep variant: the scenario runs on `engine` against engine.compiled()
+/// and a pre-resolved binding.  Byte-identical to the overload above.
 sim::ConformanceReport run_scenario(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                                     const FaultScenario& scenario,
-                                    const ScenarioOptions& options, sim::TrialRunner& runner,
+                                    const ScenarioOptions& options, sim::TrialEngine& engine,
                                     sim::VcdRecorder* recorder = nullptr);
 
 /// The per-gate delay assignment `scenario` denotes, materialized: the

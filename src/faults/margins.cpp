@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 
 #include "sim/delay_space.hpp"
 #include "sim/event_sim.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_engine.hpp"
 #include "util/error.hpp"
 
 namespace nshot::faults {
@@ -296,51 +295,23 @@ ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit
 }
 
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                     const sim::CompiledNetlist& compiled, const FaultScenario& scenario,
-                     const ScenarioOptions& options, sim::Simulator* reuse) {
+                     const FaultScenario& scenario, const ScenarioOptions& options,
+                     sim::TrialEngine& engine, MarginProbe& probe) {
+  const sim::CompiledNetlist& compiled = engine.compiled();
   FaultScenario pinned = scenario;
   pinned.delays = materialize_delays(compiled, scenario);
 
-  MarginProbe probe(compiled.netlist(), compiled.lib());
+  probe.reset();
   sim::ClosedLoopConfig config = to_config(pinned, options);
   config.observer = probe.observer();
   config.on_initialized = [&probe](const sim::Simulator& sim) { probe.capture_initial(sim); };
 
   ProbedRun run;
-  run.report = sim::run_closed_loop(spec, binding, compiled, config, nullptr, reuse);
+  run.report = engine.run(spec, binding, config);
   run.eq1 = eq1_margins(compiled, pinned.delays);
   for (int k = 0; k < probe.num_cells(); ++k) {
     run.omega.push_back(probe.stats(k));
     run.min_slack = std::min(run.min_slack, probe.stats(k).min_slack());
-  }
-  for (const Eq1Margin& m : run.eq1) run.min_slack = std::min(run.min_slack, m.slack());
-  return run;
-}
-
-ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                     const FaultScenario& scenario, const ScenarioOptions& options,
-                     sim::TrialRunner& runner, MarginProbe* probe_reuse) {
-  const sim::CompiledNetlist& compiled = runner.compiled();
-  FaultScenario pinned = scenario;
-  pinned.delays = materialize_delays(compiled, scenario);
-
-  std::optional<MarginProbe> local;
-  MarginProbe* probe = probe_reuse;
-  if (probe != nullptr)
-    probe->reset();
-  else
-    probe = &local.emplace(compiled.netlist(), compiled.lib());
-
-  sim::ClosedLoopConfig config = to_config(pinned, options);
-  config.observer = probe->observer();
-  config.on_initialized = [probe](const sim::Simulator& sim) { probe->capture_initial(sim); };
-
-  ProbedRun run;
-  run.report = runner.run(spec, binding, config);
-  run.eq1 = eq1_margins(compiled, pinned.delays);
-  for (int k = 0; k < probe->num_cells(); ++k) {
-    run.omega.push_back(probe->stats(k));
-    run.min_slack = std::min(run.min_slack, probe->stats(k).min_slack());
   }
   for (const Eq1Margin& m : run.eq1) run.min_slack = std::min(run.min_slack, m.slack());
   return run;

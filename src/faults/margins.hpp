@@ -30,7 +30,7 @@
 #include "sim/conformance.hpp"
 
 namespace nshot::sim {
-class TrialRunner;  // sim/trial_batch.hpp
+class TrialEngine;  // sim/trial_engine.hpp
 }
 
 namespace nshot::faults {
@@ -162,22 +162,16 @@ struct ProbedRun {
   double min_slack = kNoMargin;
 };
 
+/// One scenario run of `circuit` with margin instrumentation, on the
+/// reference oracle.
 ProbedRun run_probed(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                      const FaultScenario& scenario, const ScenarioOptions& options);
 
-/// Hot-path variant over a pre-compiled netlist and pre-resolved binding;
-/// `reuse` (optional, built from `compiled`) is reset and reused for the
-/// run.  Byte-identical to the uncompiled overload.
-ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
-                     const sim::CompiledNetlist& compiled, const FaultScenario& scenario,
-                     const ScenarioOptions& options, sim::Simulator* reuse = nullptr);
-
-/// Batched-engine variant: the scenario runs on `runner`'s calendar-queue
-/// simulator (sim/trial_batch.hpp) against runner.compiled().  `probe`
-/// (optional) is reset and reused instead of constructing a MarginProbe
-/// per run.  Byte-identical to both overloads above.
+/// Sweep variant: the scenario runs on `engine` against engine.compiled()
+/// and a pre-resolved binding; `probe` (built for the same circuit) is
+/// reset and reused.  Byte-identical to the overload above.
 ProbedRun run_probed(const sg::StateGraph& spec, const sim::SpecBinding& binding,
                      const FaultScenario& scenario, const ScenarioOptions& options,
-                     sim::TrialRunner& runner, MarginProbe* probe = nullptr);
+                     sim::TrialEngine& engine, MarginProbe& probe);
 
 }  // namespace nshot::faults

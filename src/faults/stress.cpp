@@ -1,12 +1,11 @@
 #include "faults/stress.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "sim/delay_space.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_engine.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -68,29 +67,13 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
         options.margin_runs,
         options.grain > 0 ? options.grain : exec::batch_grain(options.margin_runs, options.jobs),
         [&](int begin, int end) {
-          // Engine three-way: uncompiled reference kernels, the frozen
-          // pre-batch compiled driver, or (default) the calendar-queue
-          // TrialRunner with a chunk-reused MarginProbe.
-          std::optional<sim::Simulator> reuse;
-          std::optional<sim::TrialRunner> runner;
-          std::optional<MarginProbe> probe;
-          if (!options.reference_kernels) {
-            if (options.reference_driver) {
-              reuse.emplace(compiled, sim::SimulatorOptions{});
-            } else {
-              runner.emplace(compiled);
-              probe.emplace(circuit, lib);
-            }
-          }
+          sim::TrialEngine engine(compiled, options.reference_kernels);
+          MarginProbe probe(circuit, lib);
           for (int r = begin; r < end; ++r) {
             FaultScenario scenario;
             scenario.seed = run_seed(options.seed, r);
             probed[static_cast<std::size_t>(r)] =
-                options.reference_kernels
-                    ? run_probed(spec, circuit, scenario, options.run)
-                : options.reference_driver
-                    ? run_probed(spec, binding, compiled, scenario, options.run, &*reuse)
-                    : run_probed(spec, binding, scenario, options.run, *runner, &*probe);
+                run_probed(spec, binding, scenario, options.run, engine, probe);
           }
         },
         options.jobs);
@@ -175,14 +158,7 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
             ? options.grain
             : exec::batch_grain(static_cast<int>(battery.size()), options.jobs),
         [&](int begin, int end) {
-          std::optional<sim::Simulator> reuse;
-          std::optional<sim::TrialRunner> runner;
-          if (!options.reference_kernels) {
-            if (options.reference_driver)
-              reuse.emplace(compiled, sim::SimulatorOptions{});
-            else
-              runner.emplace(compiled);
-          }
+          sim::TrialEngine engine(compiled, options.reference_kernels);
           for (int j = begin; j < end; ++j) {
             const BatteryEntry& entry = battery[static_cast<std::size_t>(j)];
             FaultOutcome outcome;
@@ -193,12 +169,7 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
             scenario.seed = options.seed;
             scenario.faults.push_back(entry.fault);
             const sim::ConformanceReport run =
-                options.reference_kernels
-                    ? run_scenario(spec, circuit, scenario, options.run)
-                : options.reference_driver
-                    ? run_scenario(spec, binding, compiled, scenario, options.run, nullptr,
-                                   &*reuse)
-                    : run_scenario(spec, binding, scenario, options.run, *runner);
+                run_scenario(spec, binding, scenario, options.run, engine);
             outcome.survived = run.clean();
             if (!run.violations.empty())
               outcome.violation =
@@ -220,7 +191,6 @@ StressReport run_stress(const sg::StateGraph& spec, const netlist::Netlist& circ
   if (options.adversarial.restarts > 0) {
     AdversarialOptions adversarial = options.adversarial;
     adversarial.reference_kernels |= options.reference_kernels;
-    adversarial.reference_driver |= options.reference_driver;
     report.adversarial = adversarial_delay_search(spec, circuit, adversarial);
     report.adversarial_ran = true;
   }

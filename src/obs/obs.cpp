@@ -34,14 +34,10 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
     {"kernel_mismatches", true},
     {"kernel_fallbacks", true},
     {"faults_injected", true},
-    {"batch_trials", true},
     {"adversarial_evaluations", false},
     {"adversarial_memo_hits", false},
     {"memo_hits", false},
     {"memo_misses", false},
-    {"batch_peels", false},
-    {"batch_lockstep_shared", false},
-    {"calendar_resizes", false},
     {"serve_admitted", false},
     {"serve_rejected", false},
     {"serve_completed", false},
@@ -50,7 +46,6 @@ constexpr CounterInfo kCounterTable[kNumCounters] = {
 constexpr GaugeInfo kGaugeTable[kNumGauges] = {
     {"omega_slack", true},
     {"eq1_slack", true},
-    {"calendar_fill", false},
 };
 
 /// One completed span as recorded by its owning thread.

@@ -54,18 +54,12 @@ enum class Counter : int {
   kKernelMismatches,         // verify_kernels divergences detected
   kKernelFallbacks,          // stages degraded to reference kernels
   kFaultsInjected,           // fault-battery entries evaluated
-  kBatchTrials,              // trials routed through the batched trial engine
   kAdversarialEvaluations,   // hill-climb objective evaluations (nondet:
                              // parallel restarts run past the serial early exit)
   kAdversarialMemoHits,      // hill-climb proposals scored from the restart's
                              // memo instead of simulated (nondet: as above)
   kMemoHits,                 // MemoCache hits (nondet: races both-compute)
   kMemoMisses,               // MemoCache misses
-  kBatchPeels,               // batch lanes peeled off to scalar execution
-                             // (nondet: lane grouping follows chunk bounds)
-  kBatchLockstepShared,      // batch lanes that shared a leader's execution
-  kCalendarResizes,          // calendar-queue re-bucketing passes (nondet:
-                             // fires inside adversarial evaluations too)
   kServeAdmitted,            // serve requests admitted to the fair-share
                              // queue (nondet: traffic-dependent)
   kServeRejected,            // serve admission rejections (backlog full,
@@ -79,8 +73,6 @@ enum class Counter : int {
 enum class Gauge : int {
   kOmegaSlack = 0,   // per-signal min ω slack from the margin sweep
   kEq1Slack,         // per-signal min Eq. 1 slack
-  kCalendarFill,     // events per bucket at each calendar resize (nondet:
-                     // sampled inside adversarial evaluations too)
   kCount
 };
 

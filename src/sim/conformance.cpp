@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <sstream>
 
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_engine.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -80,152 +79,6 @@ SpecBinding::SpecBinding(const sg::StateGraph& spec, const netlist::Netlist& cir
 
 namespace {
 
-/// One closed-loop run; appends to the report.  `sim` must be freshly
-/// reset (or constructed) under config.sim.  When `recorder` is given,
-/// every net change (and the initial values) are captured for VCD export.
-void run_once(const sg::StateGraph& spec, const SpecBinding& binding, Simulator& sim,
-              const ClosedLoopConfig& config, ConformanceReport& report,
-              VcdRecorder* recorder = nullptr) {
-  const std::uint64_t seed = config.sim.seed;
-  Rng rng(env_stream(config.env_seed != 0 ? config.env_seed : seed));
-  const std::vector<NetId>& signal_net = binding.signal_net;
-  const std::vector<int>& net_signal = binding.net_signal;
-
-  sg::StateId state = spec.initial();
-  long run_transitions = 0;
-  bool failed = false;
-
-  NetObserver vcd_observer = recorder ? recorder->observer() : NetObserver{};
-  sim.set_observer([&, vcd_observer](NetId net, bool value, double time) {
-    if (vcd_observer) vcd_observer(net, value, time);
-    if (config.observer) config.observer(net, value, time);
-    const int x = net_signal[static_cast<std::size_t>(net)];
-    if (x < 0 || failed) return;  // internal net, or already failing
-    const sg::StateId next = binding.next_state(state, x, value);
-    if (next >= 0) {
-      state = next;
-      ++run_transitions;
-      return;
-    }
-    failed = true;
-    const sg::TransitionLabel label{x, value};
-    report.violations.push_back(ConformanceViolation{
-        seed, time, spec.is_input(x) ? ViolationKind::kEnvironment : ViolationKind::kHazard,
-        "unexpected transition " + spec.label_name(label) + " in state " +
-            spec.state_name(state) + (spec.is_input(x) ? " (environment bug)" : " (hazard)")});
-  });
-
-  sim.initialize(binding.initial_values);
-  if (recorder) recorder->capture_initial(sim);
-  if (config.on_initialized) config.on_initialized(sim);
-  for (const auto& [net, value] : config.forces) sim.force_net(net, value);
-
-  struct InputDecision {
-    sg::TransitionLabel label;
-    double time;
-  };
-  std::optional<InputDecision> decision;
-  std::size_t next_injection = 0;
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  std::vector<sg::TransitionLabel> choices;  // reused across decisions
-
-  while (!failed && run_transitions < config.max_transitions &&
-         sim.now() < config.time_limit && !sim.budget_exhausted()) {
-    // (Re)validate or make the environment's next input decision.  A
-    // stuck-at input net cannot be toggled by the environment, so labels
-    // on forced nets are not offered.
-    if (decision &&
-        binding.next_state(state, decision->label.signal, decision->label.rising) < 0)
-      decision.reset();
-    if (!decision) {
-      choices.clear();
-      for (const sg::Edge& e : spec.out_edges(state))
-        if (spec.is_input(e.label.signal) &&
-            !sim.is_forced(signal_net[static_cast<std::size_t>(e.label.signal)]))
-          choices.push_back(e.label);
-      if (!choices.empty()) {
-        const sg::TransitionLabel pick = choices[rng.next_below(choices.size())];
-        decision = InputDecision{
-            pick, sim.now() + rng.next_double(config.input_delay_min, config.input_delay_max)};
-      }
-    }
-
-    const double event_time = sim.has_pending_events() ? sim.next_event_time() : kNever;
-    const double decision_time = decision ? decision->time : kNever;
-    const double injection_time = next_injection < config.injections.size()
-                                      ? std::max(config.injections[next_injection].time, sim.now())
-                                      : kNever;
-
-    // A due injection preempts both circuit events and the environment:
-    // the fault is already present at that instant.
-    if (next_injection < config.injections.size() && injection_time <= event_time &&
-        injection_time <= decision_time) {
-      const TimedInjection& inj = config.injections[next_injection++];
-      sim.advance_time(injection_time);
-      if (inj.release)
-        sim.release_net(inj.net);
-      else
-        sim.force_net(inj.net, inj.value);
-      continue;
-    }
-
-    // Fundamental mode: drain all circuit activity before the input fires.
-    if (sim.has_pending_events() &&
-        (!decision || config.fundamental_mode || event_time <= decision->time)) {
-      sim.step();
-      continue;
-    }
-    if (decision) {
-      if (config.fundamental_mode && decision->time < sim.now())
-        decision->time = sim.now();  // the circuit outlasted the planned instant
-      sim.set_input(signal_net[static_cast<std::size_t>(decision->label.signal)],
-                    decision->label.rising, decision->time);
-      // Commit the input immediately (it is the earliest pending event) so
-      // the spec state advances before the next decision is made.
-      sim.step();
-      decision.reset();
-      continue;
-    }
-
-    // No circuit events, no injection, and no possible input: quiescent or
-    // deadlocked.  Reaching here with no decision means every enabled input
-    // label sits on a forced net, so an enabled input is a starved
-    // environment, not a clean endpoint.
-    bool output_pending = false;
-    bool input_starved = false;
-    for (const sg::Edge& e : spec.out_edges(state)) {
-      if (!spec.is_input(e.label.signal))
-        output_pending = true;
-      else if (sim.is_forced(signal_net[static_cast<std::size_t>(e.label.signal)]))
-        input_starved = true;
-    }
-    if (output_pending || input_starved) {
-      ++report.deadlocks;
-      report.violations.push_back(ConformanceViolation{
-          seed, sim.now(), ViolationKind::kDeadlock,
-          output_pending
-              ? "circuit quiescent but spec state " + spec.state_name(state) +
-                    " still enables a non-input transition"
-              : "circuit quiescent and every transition spec state " + spec.state_name(state) +
-                    " enables is an input pinned by a fault"});
-    }
-    break;
-  }
-
-  if (sim.budget_exhausted()) {
-    ++report.budget_exhausted;
-    report.violations.push_back(ConformanceViolation{
-        seed, sim.now(), ViolationKind::kEventBudget,
-        "event budget exhausted after " + std::to_string(sim.events_processed()) +
-            " events (runaway oscillation under the current delays/faults?)"});
-  }
-
-  report.external_transitions += run_transitions;
-  report.internal_toggles += sim.total_toggles_excluding(binding.observable);
-  report.absorbed_pulses += sim.mhs_absorbed_pulses();
-  report.simulated_time += sim.now();
-}
-
 /// First differing fingerprint field between two single-trial reports, or
 /// nullptr when they agree.  Everything a trial computes funnels into
 /// these fields, so agreement here is agreement on the trial.
@@ -264,25 +117,8 @@ bool kernel_fault_injection() {
 
 ConformanceReport run_closed_loop(const sg::StateGraph& spec, const netlist::Netlist& circuit,
                                   const ClosedLoopConfig& config, VcdRecorder* recorder) {
-  const CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
-  const SpecBinding binding(spec, circuit);
-  return run_closed_loop(spec, binding, compiled, config, recorder);
-}
-
-ConformanceReport run_closed_loop(const sg::StateGraph& spec, const SpecBinding& binding,
-                                  const CompiledNetlist& compiled,
-                                  const ClosedLoopConfig& config, VcdRecorder* recorder,
-                                  Simulator* reuse) {
-  ConformanceReport report;
-  report.runs = 1;
-  if (reuse) {
-    reuse->reset(config.sim);
-    run_once(spec, binding, *reuse, config, report, recorder);
-  } else {
-    Simulator sim(compiled, config.sim);
-    run_once(spec, binding, sim, config, report, recorder);
-  }
-  return report;
+  Simulator sim(circuit, gatelib::GateLibrary::standard(), config.sim);
+  return run_reference(spec, SpecBinding(spec, circuit), sim, config, recorder);
 }
 
 /// Fold one trial's report into the sweep total.  Trials are merged in run
@@ -309,7 +145,7 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
   // Every trial is a pure function of run_seed(options.seed, r), so the
   // sweep is an order-independent bag of work; only the merge is ordered.
   // Chunking lets each scheduled task run many sub-millisecond trials
-  // through one resettable Simulator.
+  // through one TrialEngine (sim/trial_engine.hpp).
   const obs::Span conf_span("conformance");
   const SpecBinding binding(spec, compiled.netlist());
   auto trial_config = [&](int r) {
@@ -325,63 +161,26 @@ ConformanceReport check_conformance(const sg::StateGraph& spec, const CompiledNe
     return config;
   };
   std::vector<ConformanceReport> trials(static_cast<std::size_t>(std::max(options.runs, 0)));
-  // The default engine groups trials 64 to a plane settle, so the grain
-  // must be a whole number of lane groups — otherwise every chunk runs
-  // partially-filled groups (the reference engines are per-trial and take
-  // the plain grain).
-  const bool lane_batched = !options.reference_kernels && !options.reference_driver;
+  const bool verify = options.verify_kernels && !options.reference_kernels;
   exec::parallel_for_chunks(
       options.runs,
-      options.grain > 0 ? options.grain
-                        : exec::batch_grain(options.runs, options.jobs,
-                                            lane_batched ? TrialBatch::kLanes : 1),
+      options.grain > 0 ? options.grain : exec::batch_grain(options.runs, options.jobs),
       [&](int begin, int end) {
         // Chunk boundaries are a scheduling detail (they move with jobs /
         // grain), so the span is task-scoped: dropped from deterministic
         // exports, kept in wall-clock traces.
         const obs::Span chunk_span = obs::Span::task("trials", begin);
         obs::count(obs::Counter::kTrialsRun, end - begin);
-        const bool verify = options.verify_kernels && !options.reference_kernels;
-        if (!options.reference_kernels && !options.reference_driver) {
-          // Default engine: the chunk's trials run through the batched
-          // calendar-queue engine, 64 lanes per group.
-          TrialBatch batch(compiled);
-          std::vector<ClosedLoopConfig> configs;
-          for (int r = begin; r < end; r += TrialBatch::kLanes) {
-            const int m = std::min(TrialBatch::kLanes, end - r);
-            configs.clear();
-            for (int i = 0; i < m; ++i) configs.push_back(trial_config(r + i));
-            batch.run(spec, binding, configs.data(), m, &trials[static_cast<std::size_t>(r)]);
-          }
-          if (!verify) return;
-        }
-        std::optional<Simulator> sim;  // one per chunk, reset per trial
+        TrialEngine engine(compiled, options.reference_kernels);
+        std::optional<TrialEngine> oracle;
+        if (verify) oracle.emplace(compiled, /*reference_kernels=*/true);
         for (int r = begin; r < end; ++r) {
           const ClosedLoopConfig config = trial_config(r);
-          ConformanceReport trial;
-          trial.runs = 1;
-          if (options.reference_kernels) {
-            // Old cost model: compile + construct per trial.
-            Simulator fresh(compiled.netlist(), compiled.lib(), config.sim);
-            run_once(spec, binding, fresh, config, trial);
-          } else if (options.reference_driver) {
-            // Frozen PR-3 driver: reused compiled simulator, heap queue.
-            if (!sim)
-              sim.emplace(compiled, config.sim);
-            else
-              sim->reset(config.sim);
-            run_once(spec, binding, *sim, config, trial);
-          } else {
-            // Batched trial computed above; verify it against the oracle.
-            trial = std::move(trials[static_cast<std::size_t>(r)]);
-          }
+          ConformanceReport trial = engine.run(spec, binding, config);
           if (verify) {
             if (testing::kernel_fault_injection()) ++trial.internal_toggles;
-            ConformanceReport oracle;
-            oracle.runs = 1;
-            Simulator reference(compiled.netlist(), compiled.lib(), config.sim);
-            run_once(spec, binding, reference, config, oracle);
-            if (const char* field = trial_mismatch_field(trial, oracle)) {
+            const ConformanceReport want = oracle->run(spec, binding, config);
+            if (const char* field = trial_mismatch_field(trial, want)) {
               obs::count(obs::Counter::kKernelMismatches);
               throw Error(ErrorCode::kKernelMismatch,
                           "compiled simulator diverged from reference on trial " +

@@ -14,9 +14,8 @@ namespace {
 constexpr double kTimeEps = 1e-9;
 }
 
-Simulator::Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options,
-                     QueueKind queue)
-    : compiled_(&compiled), rng_(options.seed), events_(queue) {
+Simulator::Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options)
+    : compiled_(&compiled), rng_(options.seed) {
   build_hot_gates();
   reset(options);
 }

@@ -83,15 +83,11 @@ class Simulator {
   /// Run against a pre-compiled netlist (the caller keeps it alive for the
   /// simulator's lifetime).  This is the hot-path constructor: the sweeps
   /// compile once per campaign and reset() the simulator per trial.
-  /// `queue` picks the event-queue engine; it is part of the simulator's
-  /// identity, not per-trial state, and survives reset() — per-trial
-  /// configs rebuilt without the flag cannot silently flip the mode.
-  Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options,
-            QueueKind queue = QueueKind::kBinaryHeap);
+  Simulator(const CompiledNetlist& compiled, const SimulatorOptions& options);
 
   /// Convenience constructor compiling the netlist privately — identical
   /// behaviour, pays the compile on every construction.  Also the
-  /// reference path bench_kernels measures the compiled layer against.
+  /// reference oracle's cost model (sim/trial_engine.hpp).
   Simulator(const netlist::Netlist& netlist, const gatelib::GateLibrary& lib,
             const SimulatorOptions& options);
 
@@ -109,10 +105,10 @@ class Simulator {
 
   /// initialize() with the combinational settle already done: `settled`
   /// holds one byte per net, exactly what initialize() would have computed
-  /// from the fixed values (the batched engine settles 64 trials at once
-  /// in sim::BatchPlanes and hands each lane's plane slice here).  Runs
-  /// the same storage-arming pass as initialize(), so the event sequence —
-  /// seq numbers included — is identical.
+  /// from the fixed values (TrialRunner caches net_values() of its first
+  /// initialize and replays it here).  Runs the same storage-arming pass
+  /// as initialize(), so the event sequence — seq numbers included — is
+  /// identical.
   void initialize_from_settled(const std::vector<std::uint8_t>& settled);
 
   /// Schedule an external change of a primary input.
@@ -148,8 +144,8 @@ class Simulator {
   /// The driver drains the log after every step/force/release — commit
   /// times are recoverable as now() because at most one commit happens per
   /// step (evaluate_gate only schedules) and forces drain immediately.
-  /// This replaces a std::function call per commit with a push_back; the
-  /// batched trial driver lives on it.  Cleared by reset().
+  /// This replaces a std::function call per commit with a push_back;
+  /// TrialRunner's injection driver lives on it.  Cleared by reset().
   void set_commit_log(std::vector<Commit>* log) { commit_log_ = log; }
 
   /// Process the next event; returns false when the queue is empty.
@@ -169,7 +165,7 @@ class Simulator {
     bool value = false;
   };
 
-  /// The fused hot loop of the batched trial driver: process events
+  /// The fused hot loop of TrialRunner's driver: process events
   /// back-to-back — pop, commit, fanout evaluation inline — until an
   /// observable net commits (net_signal[net] >= 0), the queue drains, the
   /// event budget trips, now() reaches `time_limit`, or the next pending
@@ -198,6 +194,9 @@ class Simulator {
   bool value(netlist::NetId net) const {
     return values_[static_cast<std::size_t>(net)] != 0;
   }
+  /// Every net's committed value, one byte per net; right after
+  /// initialize() this is the settled state initialize_from_settled takes.
+  const std::vector<std::uint8_t>& net_values() const { return values_; }
   /// Number of committed value changes of a net since initialization.
   long toggle_count(netlist::NetId net) const {
     return toggles_[static_cast<std::size_t>(net)];
@@ -220,7 +219,6 @@ class Simulator {
 
   const netlist::Netlist& circuit() const { return compiled_->netlist(); }
   const CompiledNetlist& compiled() const { return *compiled_; }
-  QueueKind queue_kind() const { return events_.kind(); }
 
  private:
   struct MhsState {

@@ -36,15 +36,6 @@ struct RunConfig {
   /// shipped one release of deprecation warnings and were removed.
   bool reference_kernels = false;
 
-  /// Freeze the per-trial compiled driver of PR 3 (binary-heap event
-  /// queue, per-trial combinational settle, std::function observer
-  /// dispatch) instead of the batched calendar-queue engine.  A mid-level
-  /// oracle between reference_kernels (per-trial compile) and the default
-  /// batched path; bench_kernels uses it as the pre-batch leg its
-  /// speedups are measured against.  Ignored when reference_kernels is
-  /// set.
-  bool reference_driver = false;
-
   /// Cross-check the optimized kernels against their reference oracles
   /// where a runtime comparison exists (currently the conformance sweep):
   /// both paths run and any divergence raises Error(kKernelMismatch),

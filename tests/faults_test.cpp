@@ -18,7 +18,7 @@
 #include "obs/obs.hpp"
 #include "sim/compiled_netlist.hpp"
 #include "sim/conformance.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_engine.hpp"
 #include "util/rng.hpp"
 
 namespace nshot {
@@ -229,7 +229,8 @@ ClimbReplay replay_restart(const sg::StateGraph& spec, const netlist::Netlist& c
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
   const sim::SpecBinding binding(spec, circuit);
   const sim::DelaySpace& space = compiled.delay_space();
-  sim::TrialRunner runner(compiled);
+  sim::TrialEngine engine(compiled, /*reference_kernels=*/false);
+  faults::MarginProbe probe(circuit, gatelib::GateLibrary::standard());
   std::vector<netlist::GateId> movable;
   for (netlist::GateId g = 0; g < circuit.num_gates(); ++g)
     if (!space.fixed(g)) movable.push_back(g);
@@ -244,7 +245,7 @@ ClimbReplay replay_restart(const sg::StateGraph& spec, const netlist::Netlist& c
     FaultScenario scenario;
     scenario.seed = env_seed;
     scenario.delays = delays;
-    const faults::ProbedRun run = faults::run_probed(spec, binding, scenario, options.run, runner);
+    const faults::ProbedRun run = faults::run_probed(spec, binding, scenario, options.run, engine, probe);
     const double s = run.report.violations.empty() ? run.min_slack : -faults::kNoMargin;
     replay.best_score = std::min(replay.best_score, s);
     return s;

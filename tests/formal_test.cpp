@@ -13,6 +13,9 @@
 //    must assume the complex gate is one atomic element.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/baselines.hpp"
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generators.hpp"
@@ -107,12 +110,27 @@ TEST(SiVerifierTest, StateCapYieldsInconclusive) {
 }
 
 TEST(SiVerifierTest, RejectsOversizedCircuits) {
-  const sg::StateGraph g = bench_suite::build_benchmark("master-read");
+  // No Table 2 N-SHOT netlist exceeds the verifier's 64-net cap (combuf1
+  // is the largest, at 47 nets), so the oversized circuit is a wide staged
+  // cycle: one input, then 20 outputs rising and falling one at a time.
+  std::vector<std::string> outputs;
+  std::vector<std::vector<std::string>> stages = {{"a+"}};
+  for (int i = 0; i < 20; ++i) {
+    outputs.push_back("o" + std::to_string(i));
+    stages.push_back({outputs.back() + "+"});
+  }
+  stages.push_back({"a-"});
+  for (const std::string& o : outputs) stages.push_back({o + "-"});
+  const sg::StateGraph g =
+      bench_suite::build_g(bench_suite::staged_cycle_g("wide", {"a"}, outputs, stages));
   const core::SynthesisResult nshot = core::synthesize(g);
-  if (nshot.circuit.num_nets() > 64)
-    EXPECT_THROW(verify_external_hazard_freeness(g, nshot.circuit), Error);
-  else
-    GTEST_SKIP() << "circuit fits in 64 nets";
+  ASSERT_GT(nshot.circuit.num_nets(), 64);
+  try {
+    verify_external_hazard_freeness(g, nshot.circuit);
+    FAIL() << "a " << nshot.circuit.num_nets() << "-net circuit passed the 64-net cap";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInputInvalid) << e.what();
+  }
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_suite/generators.hpp"
 #include "csc/csc_solver.hpp"
+#include "faults/margins.hpp"
 #include "faults/stress.hpp"
 #include "logic/exact.hpp"
 #include "logic/verify.hpp"
@@ -23,6 +25,7 @@
 #include "sg/properties.hpp"
 #include "sg/regions.hpp"
 #include "sim/conformance.hpp"
+#include "sim/trial_engine.hpp"
 #include "stg/g_format.hpp"
 #include "stg/reachability.hpp"
 #include "util/error.hpp"
@@ -69,8 +72,9 @@ std::string random_staged_cycle(Rng& rng, int index) {
   return bench_suite::staged_cycle_g("keq" + std::to_string(index), inputs, outputs, stages);
 }
 
-std::string random_g_text(int seed) {
-  Rng rng(static_cast<std::uint64_t>(seed) * 0x9E3779B9ULL + 17);
+/// Draw `k` of the seed's stream; draw 0 is the seed's own controller.
+std::string random_g_text(int seed, int k = 0) {
+  Rng rng(run_seed(static_cast<std::uint64_t>(seed) * 0x9E3779B9ULL + 17, k));
   return random_staged_cycle(rng, seed);
 }
 
@@ -79,15 +83,24 @@ struct Generated {
   core::SynthesisResult result;
 };
 
-std::optional<Generated> generate(int seed) {
-  sg::StateGraph graph = bench_suite::build_g(random_g_text(seed));
-  if (graph.noninput_signals().empty()) return std::nullopt;
-  try {
-    core::SynthesisResult result = core::synthesize(graph);
-    return Generated{std::move(graph), std::move(result)};
-  } catch (const Error&) {
-    return std::nullopt;  // draw is not implementable (e.g. CSC conflict)
+/// One seeded random controller, synthesized.  Not every draw has a
+/// non-input signal or is implementable (e.g. a CSC conflict), so the
+/// draw is redone on the derived streams k = 1, 2, ... until one is: every
+/// case runs a circuit instead of skipping, and a seed whose first draw
+/// works keeps it.
+Generated generate(int seed) {
+  constexpr int kMaxDraws = 64;
+  for (int k = 0; k < kMaxDraws; ++k) {
+    try {
+      sg::StateGraph graph = bench_suite::build_g(random_g_text(seed, k));
+      if (graph.noninput_signals().empty()) continue;
+      core::SynthesisResult result = core::synthesize(graph);
+      return Generated{std::move(graph), std::move(result)};
+    } catch (const Error&) {
+      // Not implementable: draw again.
+    }
   }
+  throw std::runtime_error("no implementable draw for seed " + std::to_string(seed));
 }
 
 std::string conformance_fingerprint(const sim::ConformanceReport& r) {
@@ -117,8 +130,7 @@ std::string sg_fingerprint(const sg::StateGraph& g) {
 class KernelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   sim::ConformanceOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) * 13 + 7;
@@ -127,24 +139,23 @@ TEST_P(KernelEquivalenceTest, ConformanceCompiledMatchesReference) {
 
   options.reference_kernels = true;
   const sim::ConformanceReport reference =
-      sim::check_conformance(gen->graph, gen->result.circuit, options);
+      sim::check_conformance(gen.graph, gen.result.circuit, options);
   options.reference_kernels = false;
   const sim::ConformanceReport compiled =
-      sim::check_conformance(gen->graph, gen->result.circuit, options);
+      sim::check_conformance(gen.graph, gen.result.circuit, options);
 
   EXPECT_EQ(conformance_fingerprint(reference), conformance_fingerprint(compiled));
 }
 
 TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
-  // One resettable Simulator reused across runs must reproduce what a
-  // fresh Simulator produces for each run — reset() has to be equivalent
-  // to reconstruction.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  // The production engine resets one Simulator across runs; it must
+  // reproduce what a fresh Simulator produces for each run — reset() has
+  // to be equivalent to reconstruction.
+  const Generated gen = generate(GetParam());
 
-  const sim::CompiledNetlist compiled(gen->result.circuit, gatelib::GateLibrary::standard());
-  const sim::SpecBinding binding(gen->graph, gen->result.circuit);
-  sim::Simulator reuse(compiled, sim::SimulatorOptions{});
+  const sim::CompiledNetlist compiled(gen.result.circuit, gatelib::GateLibrary::standard());
+  const sim::SpecBinding binding(gen.graph, gen.result.circuit);
+  sim::TrialEngine engine(compiled, /*reference_kernels=*/false);
 
   for (int r = 0; r < 4; ++r) {
     sim::ClosedLoopConfig config;
@@ -152,16 +163,50 @@ TEST_P(KernelEquivalenceTest, SimulatorReuseMatchesFreshConstruction) {
     config.sim.randomize_delays = true;
     config.max_transitions = 60;
     const sim::ConformanceReport fresh =
-        sim::run_closed_loop(gen->graph, gen->result.circuit, config);
-    const sim::ConformanceReport reused =
-        sim::run_closed_loop(gen->graph, binding, compiled, config, nullptr, &reuse);
+        sim::run_closed_loop(gen.graph, gen.result.circuit, config);
+    const sim::ConformanceReport reused = engine.run(gen.graph, binding, config);
     EXPECT_EQ(conformance_fingerprint(fresh), conformance_fingerprint(reused)) << "run " << r;
   }
 }
 
+TEST_P(KernelEquivalenceTest, ProbedRunMatchesOracle) {
+  // The sweeps' probed runs draw their delays and Eq. 1 slacks from the
+  // compiled netlist; the oracle form recomputes both from the netlist.
+  const Generated gen = generate(GetParam());
+  const netlist::Netlist& circuit = gen.result.circuit;
+  const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
+  const sim::SpecBinding binding(gen.graph, circuit);
+  sim::TrialEngine engine(compiled, /*reference_kernels=*/false);
+  faults::MarginProbe probe(circuit, gatelib::GateLibrary::standard());
+
+  faults::ScenarioOptions options;
+  options.max_transitions = 60;
+  for (int r = 0; r < 3; ++r) {
+    faults::FaultScenario scenario;
+    scenario.seed = run_seed(static_cast<std::uint64_t>(GetParam()) * 11 + 5, r);
+    const faults::ProbedRun want = faults::run_probed(gen.graph, circuit, scenario, options);
+    const faults::ProbedRun got =
+        faults::run_probed(gen.graph, binding, scenario, options, engine, probe);
+    EXPECT_EQ(conformance_fingerprint(got.report), conformance_fingerprint(want.report))
+        << "run " << r;
+    EXPECT_EQ(got.min_slack, want.min_slack) << "run " << r;
+    ASSERT_EQ(got.omega.size(), want.omega.size());
+    for (std::size_t k = 0; k < want.omega.size(); ++k) {
+      EXPECT_EQ(got.omega[k].fired, want.omega[k].fired) << "run " << r << " cell " << k;
+      EXPECT_EQ(got.omega[k].absorbed, want.omega[k].absorbed) << "run " << r << " cell " << k;
+      EXPECT_EQ(got.omega[k].min_slack(), want.omega[k].min_slack())
+          << "run " << r << " cell " << k;
+    }
+    ASSERT_EQ(got.eq1.size(), want.eq1.size());
+    for (std::size_t k = 0; k < want.eq1.size(); ++k) {
+      EXPECT_EQ(got.eq1[k].slack_set, want.eq1[k].slack_set) << "run " << r << " cell " << k;
+      EXPECT_EQ(got.eq1[k].slack_reset, want.eq1[k].slack_reset) << "run " << r << " cell " << k;
+    }
+  }
+}
+
 TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   faults::StressOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) * 5 + 3;
@@ -173,10 +218,10 @@ TEST_P(KernelEquivalenceTest, StressJsonCompiledMatchesReference) {
 
   options.reference_kernels = true;
   const std::string reference = faults::stress_report_json(
-      faults::run_stress(gen->graph, gen->result.circuit, "keq", options));
+      faults::run_stress(gen.graph, gen.result.circuit, "keq", options));
   options.reference_kernels = false;
   const std::string compiled = faults::stress_report_json(
-      faults::run_stress(gen->graph, gen->result.circuit, "keq", options));
+      faults::run_stress(gen.graph, gen.result.circuit, "keq", options));
 
   EXPECT_EQ(reference, compiled);
 }
@@ -247,16 +292,15 @@ TEST(KernelEquivalenceFixedTest, ReachabilityWithDummiesMatchesReferenceMaps) {
 }
 
 TEST_P(KernelEquivalenceTest, RegionsMatchReference) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
-  for (const sg::SignalId a : gen->graph.noninput_signals()) {
-    const sg::SignalRegions fast = sg::compute_regions(gen->graph, a);
-    const sg::SignalRegions reference = sg::compute_regions_reference(gen->graph, a);
-    EXPECT_EQ(reference.to_string(gen->graph), fast.to_string(gen->graph)) << "signal " << a;
+  for (const sg::SignalId a : gen.graph.noninput_signals()) {
+    const sg::SignalRegions fast = sg::compute_regions(gen.graph, a);
+    const sg::SignalRegions reference = sg::compute_regions_reference(gen.graph, a);
+    EXPECT_EQ(reference.to_string(gen.graph), fast.to_string(gen.graph)) << "signal " << a;
     for (const sg::ExcitationRegion& er : fast.regions) {
-      EXPECT_TRUE(sg::verify_output_trapping(gen->graph, er));
-      EXPECT_TRUE(sg::verify_trigger_reachability(gen->graph, er));
+      EXPECT_TRUE(sg::verify_output_trapping(gen.graph, er));
+      EXPECT_TRUE(sg::verify_trigger_reachability(gen.graph, er));
     }
   }
 }
@@ -265,9 +309,8 @@ TEST_P(KernelEquivalenceTest, CodingChecksMatchOrderedReference) {
   // check_csc / check_usc / detonant_states run over sorted vectors,
   // hashed maps and excitation bit planes; compare against the compiled-in
   // ordered-container reference implementations of the originals.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
-  const sg::StateGraph& g = gen->graph;
+  const Generated gen = generate(GetParam());
+  const sg::StateGraph& g = gen.graph;
 
   EXPECT_EQ(sg::check_usc_reference(g).violations, sg::check_usc(g).violations);
   EXPECT_EQ(sg::check_csc_reference(g).violations, sg::check_csc(g).violations);
@@ -282,19 +325,18 @@ TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
   // to one supercube-containment test per cube; the repair decisions and
   // the resulting cover must be identical.  Thin the cover cube by cube so
   // the not-covered repair path runs too.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
-  const std::vector<sg::SignalRegions> regions = sg::compute_all_regions(gen->graph);
+  const Generated gen = generate(GetParam());
+  const std::vector<sg::SignalRegions> regions = sg::compute_all_regions(gen.graph);
 
   auto report_fingerprint = [&](const core::TriggerReport& r) {
     std::string out = std::to_string(r.cubes_added);
-    for (const core::TriggerIssue& issue : r.issues) out += "|" + issue.describe(gen->graph);
+    for (const core::TriggerIssue& issue : r.issues) out += "|" + issue.describe(gen.graph);
     return out;
   };
 
-  const std::size_t cover_size = gen->result.cover.size();
+  const std::size_t cover_size = gen.result.cover.size();
   for (std::size_t drop = 0; drop <= cover_size; ++drop) {
-    logic::Cover thinned = gen->result.cover;
+    logic::Cover thinned = gen.result.cover;
     if (drop < cover_size) thinned.erase(drop);
 
     logic::Cover reference_cover = thinned;
@@ -302,10 +344,10 @@ TEST_P(KernelEquivalenceTest, TriggerEnforcementMatchesReferenceMembership) {
     core::TriggerOptions options;
     options.reference_kernels = true;
     const core::TriggerReport reference = core::enforce_trigger_requirement(
-        gen->graph, regions, gen->result.derived, reference_cover, options);
+        gen.graph, regions, gen.result.derived, reference_cover, options);
     options.reference_kernels = false;
     const core::TriggerReport fast = core::enforce_trigger_requirement(
-        gen->graph, regions, gen->result.derived, fast_cover, options);
+        gen.graph, regions, gen.result.derived, fast_cover, options);
 
     EXPECT_EQ(report_fingerprint(reference), report_fingerprint(fast)) << "drop " << drop;
     EXPECT_EQ(reference_cover.to_string(), fast_cover.to_string()) << "drop " << drop;
@@ -316,9 +358,8 @@ TEST_P(KernelEquivalenceTest, VerifyCoverMatchesReference) {
   // verify_cover was rewritten bit-sliced over code planes; both the ok
   // verdict and the first-violation diagnostic must match the
   // minterm-at-a-time reference, including on deliberately broken covers.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
-  const logic::TwoLevelSpec& spec = gen->result.derived.spec;
+  const Generated gen = generate(GetParam());
+  const logic::TwoLevelSpec& spec = gen.result.derived.spec;
 
   auto compare = [&spec](const logic::Cover& cover, const std::string& what) {
     const logic::VerifyResult reference = logic::verify_cover_reference(spec, cover);
@@ -327,14 +368,14 @@ TEST_P(KernelEquivalenceTest, VerifyCoverMatchesReference) {
     EXPECT_EQ(reference.message, fast.message) << what;
   };
 
-  compare(gen->result.cover, "intact cover");
-  for (std::size_t drop = 0; drop < gen->result.cover.size(); ++drop) {
-    logic::Cover broken = gen->result.cover;
+  compare(gen.result.cover, "intact cover");
+  for (std::size_t drop = 0; drop < gen.result.cover.size(); ++drop) {
+    logic::Cover broken = gen.result.cover;
     broken.erase(drop);
     compare(broken, "cover without cube " + std::to_string(drop));
   }
   // A universal cube on every output trips the off-set check.
-  logic::Cover greedy = gen->result.cover;
+  logic::Cover greedy = gen.result.cover;
   greedy.add(logic::Cube::full(spec.num_inputs(),
                                (spec.num_outputs() >= 64)
                                    ? ~0ULL

@@ -5,7 +5,7 @@
 // relies on.
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "faults/stress.hpp"
 #include "nshot/synthesis.hpp"
 #include "sim/conformance.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace nshot {
@@ -57,20 +58,29 @@ std::string random_staged_cycle(Rng& rng, int index) {
   return bench_suite::staged_cycle_g("det" + std::to_string(index), inputs, outputs, stages);
 }
 
-/// Build a random implementable controller with at least one non-input
-/// signal, or an empty optional when the draw has none.
 struct Generated {
   sg::StateGraph graph;
   core::SynthesisResult result;
 };
 
-std::optional<Generated> generate(int seed) {
-  Rng rng(static_cast<std::uint64_t>(seed) * 0x9E3779B9ULL + 3);
-  const std::string g_text = random_staged_cycle(rng, seed);
-  sg::StateGraph graph = bench_suite::build_g(g_text);
-  if (graph.noninput_signals().empty()) return std::nullopt;
-  core::SynthesisResult result = core::synthesize(graph);
-  return Generated{std::move(graph), std::move(result)};
+/// A random implementable controller with at least one non-input signal.
+/// A draw without one (or one that does not synthesize) is redone on the
+/// derived streams run_seed(stream, k), k = 1, 2, ...: every case runs a
+/// circuit instead of skipping, and a seed whose first draw works keeps it.
+Generated generate(int seed) {
+  constexpr int kMaxDraws = 64;
+  for (int k = 0; k < kMaxDraws; ++k) {
+    Rng rng(run_seed(static_cast<std::uint64_t>(seed) * 0x9E3779B9ULL + 3, k));
+    try {
+      sg::StateGraph graph = bench_suite::build_g(random_staged_cycle(rng, seed));
+      if (graph.noninput_signals().empty()) continue;
+      core::SynthesisResult result = core::synthesize(graph);
+      return Generated{std::move(graph), std::move(result)};
+    } catch (const Error&) {
+      // Not implementable: draw again.
+    }
+  }
+  throw std::runtime_error("no implementable draw for seed " + std::to_string(seed));
 }
 
 std::string conformance_fingerprint(const sim::ConformanceReport& r) {
@@ -86,8 +96,7 @@ std::string conformance_fingerprint(const sim::ConformanceReport& r) {
 class ParallelDeterminismTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelDeterminismTest, ConformanceSweepIsJobsInvariant) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   sim::ConformanceOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) + 100;
@@ -95,10 +104,10 @@ TEST_P(ParallelDeterminismTest, ConformanceSweepIsJobsInvariant) {
   options.max_transitions = 60;
 
   options.jobs = 1;
-  const sim::ConformanceReport serial = sim::check_conformance(gen->graph, gen->result.circuit, options);
+  const sim::ConformanceReport serial = sim::check_conformance(gen.graph, gen.result.circuit, options);
   options.jobs = 8;
   const sim::ConformanceReport parallel =
-      sim::check_conformance(gen->graph, gen->result.circuit, options);
+      sim::check_conformance(gen.graph, gen.result.circuit, options);
 
   EXPECT_EQ(conformance_fingerprint(serial), conformance_fingerprint(parallel));
 }
@@ -107,8 +116,7 @@ TEST_P(ParallelDeterminismTest, TrialOutcomeDependsOnlyOnBaseSeedAndRun) {
   // The sweep of N runs must equal the merge of N independent single runs
   // configured with run_seed(base, r) — i.e. no hidden state couples the
   // trials, which is exactly what makes the by-index merge sound.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   sim::ConformanceOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) * 31 + 5;
@@ -116,7 +124,7 @@ TEST_P(ParallelDeterminismTest, TrialOutcomeDependsOnlyOnBaseSeedAndRun) {
   options.max_transitions = 60;
   options.jobs = 8;
   const sim::ConformanceReport sweep =
-      sim::check_conformance(gen->graph, gen->result.circuit, options);
+      sim::check_conformance(gen.graph, gen.result.circuit, options);
 
   sim::ConformanceReport merged;
   merged.runs = options.runs;
@@ -131,7 +139,7 @@ TEST_P(ParallelDeterminismTest, TrialOutcomeDependsOnlyOnBaseSeedAndRun) {
     config.time_limit = options.time_limit;
     config.fundamental_mode = options.fundamental_mode;
     const sim::ConformanceReport one =
-        sim::run_closed_loop(gen->graph, gen->result.circuit, config);
+        sim::run_closed_loop(gen.graph, gen.result.circuit, config);
     merged.external_transitions += one.external_transitions;
     merged.internal_toggles += one.internal_toggles;
     merged.absorbed_pulses += one.absorbed_pulses;
@@ -145,8 +153,7 @@ TEST_P(ParallelDeterminismTest, TrialOutcomeDependsOnlyOnBaseSeedAndRun) {
 }
 
 TEST_P(ParallelDeterminismTest, StressReportJsonIsByteIdenticalAcrossJobs) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   faults::StressOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) * 7 + 1;
@@ -159,19 +166,18 @@ TEST_P(ParallelDeterminismTest, StressReportJsonIsByteIdenticalAcrossJobs) {
   options.jobs = 1;
   options.adversarial.jobs = 1;
   const std::string serial = faults::stress_report_json(
-      faults::run_stress(gen->graph, gen->result.circuit, "det", options));
+      faults::run_stress(gen.graph, gen.result.circuit, "det", options));
 
   options.jobs = 8;
   options.adversarial.jobs = 8;
   const std::string parallel = faults::stress_report_json(
-      faults::run_stress(gen->graph, gen->result.circuit, "det", options));
+      faults::run_stress(gen.graph, gen.result.circuit, "det", options));
 
   EXPECT_EQ(serial, parallel);
 }
 
 TEST_P(ParallelDeterminismTest, AdversarialSearchIsJobsInvariant) {
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   faults::AdversarialOptions options;
   options.seed = static_cast<std::uint64_t>(GetParam()) + 9;
@@ -181,10 +187,10 @@ TEST_P(ParallelDeterminismTest, AdversarialSearchIsJobsInvariant) {
 
   options.jobs = 1;
   const faults::AdversarialResult serial =
-      faults::adversarial_delay_search(gen->graph, gen->result.circuit, options);
+      faults::adversarial_delay_search(gen.graph, gen.result.circuit, options);
   options.jobs = 8;
   const faults::AdversarialResult parallel =
-      faults::adversarial_delay_search(gen->graph, gen->result.circuit, options);
+      faults::adversarial_delay_search(gen.graph, gen.result.circuit, options);
 
   EXPECT_EQ(serial.violation_found, parallel.violation_found);
   EXPECT_EQ(serial.best_slack, parallel.best_slack);
@@ -196,19 +202,18 @@ TEST_P(ParallelDeterminismTest, AdversarialSearchIsJobsInvariant) {
 TEST_P(ParallelDeterminismTest, SynthesisIsJobsInvariant) {
   // Per-signal analyses and per-output exact minimization merge in index
   // order; the synthesized implementation must not depend on jobs.
-  const auto gen = generate(GetParam());
-  if (!gen) GTEST_SKIP() << "all-input controller";
+  const Generated gen = generate(GetParam());
 
   for (const bool exact : {false, true}) {
     core::SynthesisOptions options;
     options.exact = exact;
     options.memoize_minimization = false;  // isolate the parallel paths
     options.jobs = 1;
-    const core::SynthesisResult serial = core::synthesize(gen->graph, options);
+    const core::SynthesisResult serial = core::synthesize(gen.graph, options);
     options.jobs = 8;
-    const core::SynthesisResult parallel = core::synthesize(gen->graph, options);
+    const core::SynthesisResult parallel = core::synthesize(gen.graph, options);
 
-    EXPECT_EQ(core::describe(gen->graph, serial), core::describe(gen->graph, parallel))
+    EXPECT_EQ(core::describe(gen.graph, serial), core::describe(gen.graph, parallel))
         << "exact=" << exact;
   }
 }

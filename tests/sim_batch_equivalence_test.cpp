@@ -1,7 +1,6 @@
-// Differential fuzz battery for the batched trial engine
-// (sim/trial_batch.hpp): over 64 seeded random semi-modular circuits, the
-// calendar-queue TrialRunner and the word-packed TrialBatch must produce
-// byte-identical results to the reference per-trial simulator — same
+// Differential fuzz battery for the trial engine (sim/trial_engine.hpp):
+// over 64 seeded random semi-modular circuits, the production TrialRunner
+// must produce byte-identical results to the reference oracle — same
 // verdicts, same report fingerprints (every counter and every
 // simulated-time double), same violation strings, and the same VCD
 // witness bytes per trial.  This is the test the engine's whole contract
@@ -17,7 +16,7 @@
 #include "netlist/transform.hpp"
 #include "nshot/synthesis.hpp"
 #include "sim/conformance.hpp"
-#include "sim/trial_batch.hpp"
+#include "sim/trial_engine.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -117,29 +116,24 @@ TEST_P(SimBatchEquivalenceTest, TrialRunnerMatchesReferencePerTrial) {
   }
 }
 
-TEST_P(SimBatchEquivalenceTest, TrialBatchMatchesReferenceAcrossLanes) {
+TEST_P(SimBatchEquivalenceTest, TrialEngineMatchesReferenceAcrossTrials) {
   const Generated gen = generate(GetParam());
   const netlist::Netlist& circuit = gen.result.circuit;
   const sim::CompiledNetlist compiled(circuit, gatelib::GateLibrary::standard());
   const sim::SpecBinding binding(gen.graph, circuit);
 
-  // A full 64-lane batch with deliberate duplicates so the lockstep-share
-  // path (identical configs riding one scalar run) is exercised alongside
-  // the peel path.
+  // One production engine carries a 64-trial sweep whose configs repeat
+  // back to back (trials 24.. replay 0..), so nothing a trial leaves
+  // behind — cached settle, queue arena, commit log — may leak into the
+  // next; the oracle engine compiles and constructs per trial.
   const std::uint64_t base_seed = 0xfeedULL + static_cast<std::uint64_t>(GetParam());
-  std::vector<sim::ClosedLoopConfig> configs;
-  for (int lane = 0; lane < sim::TrialBatch::kLanes; ++lane)
-    configs.push_back(trial_config(base_seed, lane % 24));  // lanes 24.. duplicate 0..
-
-  sim::TrialBatch batch(compiled);
-  std::vector<sim::ConformanceReport> got(configs.size());
-  batch.run(gen.graph, binding, configs.data(), static_cast<int>(configs.size()), got.data());
-
-  for (std::size_t lane = 0; lane < configs.size(); ++lane) {
-    const sim::ConformanceReport want =
-        sim::run_closed_loop(gen.graph, binding, compiled, configs[lane]);
-    expect_same_report(got[lane], want,
-                       "circuit " + std::to_string(GetParam()) + " lane " + std::to_string(lane));
+  sim::TrialEngine engine(compiled, /*reference_kernels=*/false);
+  sim::TrialEngine oracle(compiled, /*reference_kernels=*/true);
+  for (int r = 0; r < 64; ++r) {
+    const sim::ClosedLoopConfig config = trial_config(base_seed, r % 24);
+    expect_same_report(engine.run(gen.graph, binding, config),
+                       oracle.run(gen.graph, binding, config),
+                       "circuit " + std::to_string(GetParam()) + " trial " + std::to_string(r));
   }
 }
 

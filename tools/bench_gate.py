@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Performance-regression gate over BENCH_kernels.json / BENCH_scale.json /
-BENCH_queue_scaling.json.
+BENCH_serve.json.
 
 Compares a freshly measured bench JSON against the committed one using
-the IN-RUN speedup ratios (reference/compiled, compiled/batched,
-reference/word-parallel), never absolute milliseconds: both sides of each
+the IN-RUN speedup ratios (reference/production, reference/word-parallel,
+cold/warm), never absolute milliseconds: both sides of each
 ratio were measured in the same process on the same machine, so the
 ratios transfer across hosts while wall-clock numbers do not.
 
@@ -33,29 +33,20 @@ RATIO_KEYS = (
     "conformance_speedup",
     "stress_speedup",
     "total_speedup",
-    "conformance_batch_speedup",
-    "stress_batch_speedup",
-    "total_batch_speedup",
     "largest_tier_combined_speedup",
     # BENCH_serve.json: mean server-side latency of the cold (empty memo)
     # pass over the warm (repeated specs) passes — the shared-cache payoff.
     "warm_over_cold",
 )
 
-# Ratios gated per case row (matched by "name" across the two files).
-# combined_speedup gates BENCH_scale tiers; calendar_over_heap and
-# adaptive_over_heap gate BENCH_queue_scaling tiers (heap_ms/engine_ms —
-# in-run ratios like everything else here).
-CASE_RATIO_KEYS = ("combined_speedup", "calendar_over_heap", "adaptive_over_heap")
+# Ratios gated per case row (matched by "name" across the two files):
+# combined_speedup gates BENCH_scale tiers.
+CASE_RATIO_KEYS = ("combined_speedup",)
 
 
 def case_rows(doc):
-    """Per-case rows of a bench JSON: BENCH_kernels/BENCH_scale keep them
-    under "cases", BENCH_queue_scaling under "tiers"."""
-    rows = []
-    for key in ("cases", "tiers"):
-        rows.extend(c for c in doc.get(key, []) if isinstance(c, dict) and "name" in c)
-    return rows
+    """Per-case rows of a bench JSON (kept under "cases")."""
+    return [c for c in doc.get("cases", []) if isinstance(c, dict) and "name" in c]
 
 
 def main():
